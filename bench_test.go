@@ -306,7 +306,7 @@ func BenchmarkSnapshotWriteLarge(b *testing.B) {
 // ready to answer the standard query mix — but "enumerate" gets there
 // the way a restart without snapshots does (re-run the protocol, build
 // the tables), while "load" decodes the snapshot, where the tables come
-// back as flat arrays and the projection-key index rebuilds lazily only
+// back as flat arrays and the projection-key index fills in lazily only
 // if a non-member lookup ever needs it. The gap between the arms is
 // what -snapshot-dir buys per restart (expect ≥10×).
 func BenchmarkSnapshotLoadLarge(b *testing.B) {
@@ -346,6 +346,60 @@ func BenchmarkSnapshotLoadLarge(b *testing.B) {
 		}
 		b.ReportMetric(float64(size), "computations")
 	})
+}
+
+// BenchmarkPartitionCold measures the partition set-up a freshly
+// started hpld pays before it can answer arbitrary formulas. The "full"
+// arm loads the 107k-member snapshot (written without tables) and
+// builds the tables of all 7 non-empty subsets of {p,q,r} plus the
+// transition graph. The "quotient" arm loads the 17,933-member
+// symmetry quotient and builds its four tables: the three singletons
+// and {p,q,r}. Both arms time the load too, because the first table
+// build shares the prefix index the load seeds.
+func BenchmarkPartitionCold(b *testing.B) {
+	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
+	all := trace.NewProcSet(cfg.Procs...)
+	var fullSets []trace.ProcSet
+	for mask := 1; mask < 8; mask++ {
+		var ids []trace.ProcID
+		for k, p := range cfg.Procs {
+			if mask&(1<<k) != 0 {
+				ids = append(ids, p)
+			}
+		}
+		fullSets = append(fullSets, trace.NewProcSet(ids...))
+	}
+	quotientSets := []trace.ProcSet{trace.Singleton("p"), trace.Singleton("q"), trace.Singleton("r"), all}
+	arm := func(name string, opts []universe.Option, sets []trace.ProcSet, transitions bool) {
+		u, err := universe.EnumerateWith(universe.NewFree(cfg), append(opts, universe.WithMaxEvents(6))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := universe.WriteSnapshot(&buf, u, "bench"); err != nil {
+			b.Fatal(err)
+		}
+		raw := buf.Bytes()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, _, err := universe.ReadSnapshot(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range sets {
+					got.Partition(p)
+				}
+				if transitions {
+					got.Transitions()
+				}
+			}
+			b.ReportMetric(float64(u.Len()), "computations")
+		})
+	}
+	arm("full", nil, fullSets, true)
+	grp := universe.InferSymmetry(universe.NewFree(cfg))
+	arm("quotient", []universe.Option{universe.WithSymmetry(grp)}, quotientSets, false)
 }
 
 // BenchmarkExtendLargeBound pushes the bound into the 621k-member
@@ -485,7 +539,7 @@ func ablationUniverse(b *testing.B) *universe.Universe {
 }
 
 // BenchmarkAblationProjectionIndex measures class lookup via the
-// projection-key index (warm) against pairwise scanning.
+// partition table (warm) against pairwise scanning.
 func BenchmarkAblationProjectionIndex(b *testing.B) {
 	u := ablationUniverse(b)
 	p := trace.Singleton("q")
@@ -614,9 +668,10 @@ func BenchmarkAblationVectorizedEval(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPartitionTable compares the dense interned partition
-// table against the string-keyed projection map it replaced: build the
-// class structure for {q}, then resolve every member's class.
+// BenchmarkAblationPartitionTable compares the dense partition table,
+// built from the universe's prefix index and a history trie, against a
+// string-keyed projection map: build the class structure for {q}, then
+// resolve every member's class.
 func BenchmarkAblationPartitionTable(b *testing.B) {
 	u := ablationUniverseLarge(b)
 	p := trace.Singleton("q")

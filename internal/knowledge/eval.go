@@ -270,7 +270,7 @@ func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 	// orbits and the all-reduce below computes no meaningful modality.
 	// (The common-knowledge fixpoint is exempt: it iterates the twisted
 	// singleton partitions directly, which is sound — see
-	// newQuotientPartition in package universe.)
+	// universe.NewPartition.)
 	if s := e.u.Symmetry(); s != nil && !s.Invariant(p) {
 		panic(&AsymmetryError{
 			Part:   fmt.Sprintf("knowledge operator %s knows …", p),

@@ -15,8 +15,7 @@ import (
 // crash event).
 func Crashed(p trace.ProcID) Predicate {
 	return NewPredicate(fmt.Sprintf("crashed(%s)", p), func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindInternal && e.Proc == p && e.Tag == faults.TagCrash {
 				return true
 			}
@@ -29,8 +28,7 @@ func Crashed(p trace.ProcID) Predicate {
 // renaming-invariant closure of Crashed.
 func AnyCrashed() Predicate {
 	return NewPredicate("anyCrashed", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindInternal && e.Tag == faults.TagCrash {
 				return true
 			}
@@ -44,8 +42,7 @@ func AnyCrashed() Predicate {
 func Dropped(tag string) Predicate {
 	want := faults.DropTag(tag)
 	return NewPredicate("dropped("+tag+")", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindInternal && e.Tag == want {
 				return true
 			}
@@ -59,8 +56,7 @@ func Dropped(tag string) Predicate {
 func Duplicated(tag string) Predicate {
 	want := faults.DupTag(tag)
 	return NewPredicate("duplicated("+tag+")", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindSend && e.Tag == want {
 				return true
 			}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpl/internal/faults"
 	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
@@ -537,6 +538,17 @@ func TestStandardPredicates(t *testing.T) {
 	inflight := trace.NewBuilder().Send("p", "q", "x").MustBuild()
 	if NoMessagesInFlight().Holds(inflight) {
 		t.Errorf("quiescent must fail with in-flight message")
+	}
+	// quiescent counts sends against receives; it must agree with the
+	// in-flight list on every computation, dropped and duplicated
+	// messages included.
+	lossy := faults.Wrap(universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q"}, MaxSends: 2}),
+		faults.Model{CrashAll: true, Drops: 1, Dups: 1})
+	u := universe.MustEnumerateWith(lossy, universe.WithMaxEvents(5))
+	for i := 0; i < u.Len(); i++ {
+		if got, want := NoMessagesInFlight().Holds(u.At(i)), len(u.At(i).InFlight()) == 0; got != want {
+			t.Fatalf("quiescent = %v at %v, in-flight list says %v", got, u.At(i), want)
+		}
 	}
 }
 

@@ -106,8 +106,7 @@ func CheckWellFormed(u *universe.Universe, b Predicate) error {
 // SentTag holds when p has sent at least one message tagged tag.
 func SentTag(p trace.ProcID, tag string) Predicate {
 	return NewPredicate(fmt.Sprintf("sent(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindSend && e.Proc == p && e.Tag == tag {
 				return true
 			}
@@ -119,8 +118,7 @@ func SentTag(p trace.ProcID, tag string) Predicate {
 // ReceivedTag holds when p has received at least one message tagged tag.
 func ReceivedTag(p trace.ProcID, tag string) Predicate {
 	return NewPredicate(fmt.Sprintf("received(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindReceive && e.Proc == p && e.Tag == tag {
 				return true
 			}
@@ -132,8 +130,7 @@ func ReceivedTag(p trace.ProcID, tag string) Predicate {
 // DidInternal holds when p has performed an internal event tagged tag.
 func DidInternal(p trace.ProcID, tag string) Predicate {
 	return NewPredicate(fmt.Sprintf("internal(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindInternal && e.Proc == p && e.Tag == tag {
 				return true
 			}
@@ -157,8 +154,7 @@ func EventCountAtLeast(p trace.ProcSet, n int) Predicate {
 func TokenAt(p trace.ProcID, initialHolder trace.ProcID, tag string) Predicate {
 	return NewPredicate(fmt.Sprintf("token@%s", p), func(c *trace.Computation) bool {
 		recv, sent := 0, 0
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Proc != p || e.Tag != tag {
 				continue
 			}
@@ -178,10 +174,21 @@ func TokenAt(p trace.ProcID, initialHolder trace.ProcID, tag string) Predicate {
 
 // NoMessagesInFlight holds when every sent message has been received.
 // Note: this predicate is a function of per-process projections (send and
-// receive multisets), so it is [D]-invariant.
+// receive multisets), so it is [D]-invariant. A valid computation
+// receives each message at most once and only after its send, so no
+// message is in flight exactly when sends and receives are equally many.
 func NoMessagesInFlight() Predicate {
 	return NewPredicate("quiescent", func(c *trace.Computation) bool {
-		return len(c.InFlight()) == 0
+		inFlight := 0
+		for e := range c.Backward() {
+			switch e.Kind {
+			case trace.KindSend:
+				inFlight++
+			case trace.KindReceive:
+				inFlight--
+			}
+		}
+		return inFlight == 0
 	}).Symmetric()
 }
 
@@ -196,8 +203,7 @@ func Constant(v bool) Predicate {
 // send-observations on a symmetry quotient.
 func AnySentTag(tag string) Predicate {
 	return NewPredicate("anySent("+tag+")", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindSend && e.Tag == tag {
 				return true
 			}
@@ -210,8 +216,7 @@ func AnySentTag(tag string) Predicate {
 // tag; the renaming-invariant closure of ReceivedTag.
 func AnyReceivedTag(tag string) Predicate {
 	return NewPredicate("anyReceived("+tag+")", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindReceive && e.Tag == tag {
 				return true
 			}
@@ -224,8 +229,7 @@ func AnyReceivedTag(tag string) Predicate {
 // event tagged tag; the renaming-invariant closure of DidInternal.
 func AnyDidInternal(tag string) Predicate {
 	return NewPredicate("anyInternal("+tag+")", func(c *trace.Computation) bool {
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+		for e := range c.Backward() {
 			if e.Kind == trace.KindInternal && e.Tag == tag {
 				return true
 			}

@@ -3,8 +3,8 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -52,11 +52,6 @@ type Computation struct {
 	flat atomic.Pointer[[]Event]
 	// keyc caches the canonical string key.
 	keyc atomic.Pointer[string]
-	// projKeys caches ProjectionKey results per ProcSet key, allocated
-	// on first use. Partition construction and class lookups ask for
-	// the same projections repeatedly, possibly from several goroutines
-	// at once.
-	projKeys atomic.Pointer[sync.Map]
 }
 
 // emptyComputation is the shared null computation: computations are
@@ -199,6 +194,20 @@ func (c *Computation) evs() []Event {
 // At returns the i-th event.
 func (c *Computation) At(i int) Event { return c.evs()[i] }
 
+// Backward yields the events of c from the last to the first. It walks
+// the prefix tree, so unlike At and Events it materializes no event
+// slice: order-insensitive scans of many computations (predicate atoms
+// over a whole universe) allocate nothing per computation.
+func (c *Computation) Backward() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for a := c; a.parent != nil; a = a.parent {
+			if !yield(a.last) {
+				return
+			}
+		}
+	}
+}
+
 // Events returns a copy of the event sequence.
 func (c *Computation) Events() []Event {
 	evs := c.evs()
@@ -259,20 +268,6 @@ func (c *Computation) Projection(p ProcSet) []Event {
 	return out
 }
 
-// projMap returns the projection-key cache, allocating it on first use
-// so computations that never project (the enumeration frontier) pay
-// nothing for it.
-func (c *Computation) projMap() *sync.Map {
-	if m := c.projKeys.Load(); m != nil {
-		return m
-	}
-	m := new(sync.Map)
-	if c.projKeys.CompareAndSwap(nil, m) {
-		return m
-	}
-	return c.projKeys.Load()
-}
-
 // ProjectionKey returns a canonical encoding of the per-process
 // projections of c on P. x [P] y holds exactly when
 // x.ProjectionKey(P) == y.ProjectionKey(P): the relation is defined
@@ -280,15 +275,14 @@ func (c *Computation) projMap() *sync.Map {
 // each process's projection separately rather than the interleaved
 // subsequence — two interleavings of independent events on distinct
 // members of P are [P]-isomorphic.
+//
+// Keys are built on every call, never cached: the partition tables of
+// package universe never spell a projection out, and only need keys to
+// look up computations outside the universe.
 func (c *Computation) ProjectionKey(p ProcSet) string {
-	pk := p.Key()
-	m := c.projMap()
-	if v, ok := m.Load(pk); ok {
-		return v.(string)
-	}
 	evs := c.evs()
 	var b strings.Builder
-	b.Grow(len(pk) + 2*len(evs) + 4*p.Len())
+	b.Grow(2*len(evs) + 6*p.Len())
 	for _, id := range p.ids {
 		b.WriteString(string(id))
 		b.WriteByte('/')
@@ -300,23 +294,45 @@ func (c *Computation) ProjectionKey(p ProcSet) string {
 		}
 		b.WriteByte('|')
 	}
-	s := b.String()
-	m.Store(pk, s)
-	return s
+	return b.String()
 }
 
 // IsomorphicTo reports x [P] y: the projections of c and d on every process
-// in P coincide. This is the paper's central relation (§3).
+// in P coincide. This is the paper's central relation (§3). It agrees
+// with comparing ProjectionKeys, walking both event sequences once per
+// process of P instead of spelling the keys out.
 func (c *Computation) IsomorphicTo(d *Computation, p ProcSet) bool {
-	return c.ProjectionKey(p) == d.ProjectionKey(p)
+	ce, de := c.evs(), d.evs()
+	for _, id := range p.ids {
+		i, j := 0, 0
+		for {
+			for i < len(ce) && ce[i].Proc != id {
+				i++
+			}
+			for j < len(de) && de[j].Proc != id {
+				j++
+			}
+			if i == len(ce) || j == len(de) {
+				if i != len(ce) || j != len(de) {
+					return false
+				}
+				break
+			}
+			a, b := ce[i], de[j]
+			if a.ID != b.ID || a.Kind != b.Kind || a.Msg != b.Msg || a.Peer != b.Peer || a.Tag != b.Tag {
+				return false
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return true
 }
 
 // PermutationOf reports whether d consists of exactly the events of c,
 // possibly reordered; equivalently x [D] y for D ⊇ procs of both. The paper
 // notes x [D] y ∧ x ≠ y implies y is a permutation of x.
 func (c *Computation) PermutationOf(d *Computation) bool {
-	all := c.Procs().Union(d.Procs())
-	return c.ProjectionKey(all) == d.ProjectionKey(all)
+	return c.IsomorphicTo(d, c.Procs().Union(d.Procs()))
 }
 
 // IsPrefixOf reports c ≤ d: the events of c are the first Len(c) events of

@@ -51,8 +51,9 @@ import (
 //	parts    — count, then per built partition table: proc-set refs,
 //	           class count, and per-member class identifiers. The
 //	           projection-key index is NOT stored (keys are as long as
-//	           event sequences); loaded tables rebuild it lazily from
-//	           one member per class on first ClassOfKey.
+//	           event sequences); loaded tables, like built ones, fill
+//	           it in lazily from one member per class on first
+//	           ClassOfKey.
 //	symmetry — version 2 (symmetry quotients) only: the group's class
 //	           count, then per class its size and proc string refs,
 //	           then one orbit size per member. Quotients always write
@@ -136,13 +137,14 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 	}
 
 	// Members: parent index + last event + state vector.
+	parents := u.prefixIndex().parent
 	body = binary.AppendUvarint(body, uint64(u.Len()))
 	for i := 0; i < u.Len(); i++ {
 		c := u.At(i)
 		if c.Len() == 0 {
 			body = binary.AppendUvarint(body, 0)
 		} else {
-			pi := u.IndexOf(c.Parent())
+			pi := int(parents[i])
 			if pi < 0 || pi >= i {
 				return fmt.Errorf("universe: snapshot: member %d's prefix is not an earlier member (universe not prefix closed)", i)
 			}
@@ -175,9 +177,9 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 	// Built partition tables, ordered by process-set key: sync.Map
 	// iteration order must not leak into the bytes. Quotient partitions
 	// are never persisted: their overlapping "twisted" class listings
-	// cannot be reconstructed from classID alone (the lazy ClassOfKey
-	// completion assumes one key per class), so quotient loads rebuild
-	// tables on demand — quotients are small enough that this is cheap.
+	// and the renaming behind each class's key cannot be reconstructed
+	// from classID alone, so quotient loads rebuild tables on demand from
+	// the prefix index and history tries.
 	parts := u.partitionsIfBuilt()
 	if u.sym != nil {
 		parts = nil
@@ -313,10 +315,12 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// re-derived by that construction, not trusted from the file.
 	nmem := sr.count(min(sr.rem(), math.MaxInt32))
 	comps := make([]*trace.Computation, 0, nmem)
+	parents := make([]int32, 0, nmem)
 	svs := make([]int32, 0, nmem)
 	var arena trace.Arena
 	for i := 0; i < nmem && sr.err == nil; i++ {
 		pref := sr.uvarint()
+		parents = append(parents, int32(pref)-1)
 		switch {
 		case pref == 0:
 			comps = append(comps, trace.Empty())
@@ -355,7 +359,10 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// The strict canonical order just verified implies the members are
 	// pairwise distinct, so wrap them directly; the hash index (like the
 	// projection-key indexes) rebuilds lazily if the workload probes it.
+	// The decoded parent references seed the prefix index, so partition
+	// and transition builds never resolve parents through the hash index.
 	u := newSorted(comps, trace.NewProcSet(procIDs...))
+	u.loadParents = parents
 	u.maxEvents = int(maxEvents)
 	u.states = newStateTableFrom(vecs)
 	u.memberSV = svs
@@ -394,7 +401,6 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 		}
 		nclass := sr.count(nmem)
 		classID := make([]int32, nmem)
-		counts := make([]int32, nclass)
 		for i := 0; i < nmem && sr.err == nil; i++ {
 			c := sr.uvarint()
 			if c >= uint64(nclass) {
@@ -402,26 +408,14 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 				break
 			}
 			classID[i] = int32(c)
-			counts[c]++
 		}
 		if sr.err != nil {
 			break
 		}
-		// Lay the member lists out exactly as NewPartition does.
-		memArena := make([]int, nmem)
-		members := make([][]int, nclass)
-		off := int32(0)
-		for c, cnt := range counts {
-			members[c] = memArena[off : off : off+cnt]
-			off += cnt
-		}
-		for i, c := range classID {
-			members[c] = append(members[c], i)
-		}
 		u.installPartition(&Partition{
 			set:     trace.NewProcSet(ids...),
 			classID: classID,
-			members: members,
+			members: classMembers(nclass, ownClasses(classID)),
 			u:       u,
 		})
 	}

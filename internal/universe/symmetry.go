@@ -320,6 +320,16 @@ func renameEvent(ev trace.Event, sigma map[trace.ProcID]trace.ProcID) trace.Even
 	return out
 }
 
+// renameComputation applies a process renaming to every event of c.
+func renameComputation(c *trace.Computation, sigma map[trace.ProcID]trace.ProcID) *trace.Computation {
+	var arena trace.Arena
+	rc := trace.Empty()
+	for _, ev := range c.Events() {
+		rc = arena.Extend(rc, renameEvent(ev, sigma))
+	}
+	return rc
+}
+
 // symGroup is the engine-side compilation of a Symmetry against a
 // concrete process list: every group element as a proc-index
 // permutation, with per-element moved-index masks for constant-time

@@ -1,12 +1,6 @@
 package universe
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-
-	"hpl/internal/trace"
-)
+import "hpl/internal/trace"
 
 // Transitions is the prefix-extension transition graph of a universe:
 // member i steps to member j exactly when computation j extends
@@ -26,8 +20,9 @@ import (
 // extending event, so per-process step relations need no event
 // inspection. Transitions are immutable once built and safe for
 // concurrent readers; build them through Universe.Transitions, which
-// constructs the graph once (in parallel) and shares it, alongside the
-// Partition tables, between every evaluator over the universe.
+// constructs the graph once from the universe's prefix index and shares
+// it, alongside the Partition tables, between every evaluator over the
+// universe.
 type Transitions struct {
 	// parent[j] is the member index of j's one-event-shorter prefix, or
 	// -1 when that prefix is not a member of the universe.
@@ -107,64 +102,40 @@ func NewTransitions(u *Universe) *Transitions {
 	for i, p := range procs {
 		procIdx[p] = int32(i)
 	}
+	// The enumeration search tree IS this graph: the prefix index already
+	// holds every member's parent, and the edge label is the process of
+	// its last event.
+	x := u.prefixIndex()
+	evLabel := make([]int32, len(x.events))
+	for e, ev := range x.events {
+		evLabel[e] = -1
+		if li, ok := procIdx[ev.Proc]; ok {
+			evLabel[e] = li
+		}
+	}
+	// Topological order: ascending event count, which is the index's
+	// parent-first order (nil, hence the identity, on sorted universes).
 	t := &Transitions{
-		parent: make([]int32, n),
+		parent: x.parent,
 		label:  make([]int32, n),
+		order:  x.order,
 		procs:  procs,
 	}
-	// With the persistent prefix-tree representation the enumeration
-	// search tree IS this graph: a member's one-event-shorter prefix is
-	// literally its Parent pointer, so resolution is one read-only hash
-	// probe per member — no key surgery, no string retention. Each
-	// member resolves independently; fan the resolution out.
-	resolve := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			c := u.At(j)
-			t.parent[j], t.label[j] = -1, -1
-			last, ok := c.Last()
-			if !ok {
-				continue
-			}
-			if i := u.IndexOf(c.Parent()); i >= 0 {
-				t.parent[j] = int32(i)
-				if li, ok := procIdx[last.Proc]; ok {
-					t.label[j] = li
-				}
-			}
+	for j, par := range x.parent {
+		t.label[j] = -1
+		if par >= 0 {
+			t.label[j] = evLabel[x.event[j]]
 		}
-	}
-	const chunk = 1024
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && n >= 2*chunk {
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				resolve(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		resolve(0, n)
 	}
 	t.buildForward()
-	// Topological order: ascending event count. Enumerated universes
-	// are already canonically sorted by (length, hash), making identity
-	// (buildForward's default) correct; hand-built (New) universes still
-	// sort.
-	if !u.sorted {
-		sort.SliceStable(t.order, func(a, b int) bool {
-			return u.At(int(t.order[a])).Len() < u.At(int(t.order[b])).Len()
-		})
-	}
 	return t
 }
 
 // buildForward derives the CSR forward adjacency from the parent/label
 // arrays — a counting sort, shared by NewTransitions and the snapshot
-// loader (which persists only the reverse relation) — and initializes
-// the topological order to the identity.
+// loader (which persists only the reverse relation) — and defaults the
+// topological order to the identity, which is correct for canonically
+// sorted universes.
 func (t *Transitions) buildForward() {
 	n := len(t.parent)
 	// Member indexes ascend within each group because j ascends.
@@ -192,9 +163,11 @@ func (t *Transitions) buildForward() {
 		t.succLab[next[p]] = t.label[j]
 		next[p]++
 	}
-	t.order = make([]int32, n)
-	for i := range t.order {
-		t.order[i] = int32(i)
+	if t.order == nil {
+		t.order = make([]int32, n)
+		for i := range t.order {
+			t.order[i] = int32(i)
+		}
 	}
 }
 

@@ -6,12 +6,14 @@
 // meaningful model checks instead of statistical tests.
 //
 // A Universe decomposes into dense partition tables (see Partition), one
-// per process set, with projection keys interned to integer IDs: the
-// isomorphism class of x with respect to P is an array index rather than
-// a scan or a string-map probe. Tables are built in parallel on first
-// use and are safe to share between concurrent evaluators. The ablation
-// benchmarks BenchmarkAblationProjectionIndex and
-// BenchmarkAblationPartitionTable measure what that buys.
+// per process set: the isomorphism class of x with respect to P is an
+// array index rather than a scan or a string-map probe. Every table is
+// built from one shared prefix index — each member's parent and interned
+// last event — by numbering the local histories of P's processes in a
+// trie, so no projection is ever spelled out as a string. Tables are
+// built on first use and are safe to share between concurrent
+// evaluators. The ablation benchmarks BenchmarkAblationProjectionIndex
+// and BenchmarkAblationPartitionTable measure what that buys.
 package universe
 
 import (
@@ -43,15 +45,19 @@ type Universe struct {
 	hashOnce sync.Once
 	all      trace.ProcSet
 	// sorted records that members are in canonical (length, hash)
-	// order — set by the enumeration engine, and used to skip the
-	// topological re-sort when building Transitions.
+	// order — set by the enumeration engine and snapshot loads, and used
+	// to skip the parent-first re-sort when building the prefix index.
 	sorted bool
 	// parts caches the [P]-partition table per P.Key(); see Partition.
 	// Built on first use, safe under concurrent evaluators.
 	parts sync.Map
-	// keys interns projection keys to dense IDs, shared by every
-	// partition of this universe.
-	keys *trace.Interner
+	// prefix is the flattened prefix tree every partition build and the
+	// transition graph read; see prefixIndex. Built once on first use.
+	// loadParents carries the parent references a snapshot load already
+	// decoded into that build, which then skips resolving them.
+	prefixOnce  sync.Once
+	prefix      *prefixIndex
+	loadParents []int32
 	// trans caches the prefix-extension transition graph; see
 	// Transitions. Built on first use, shared by concurrent evaluators.
 	// The atomic pointer is published inside the once so concurrent
@@ -97,7 +103,6 @@ func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 	u := &Universe{
 		byHash:    make(map[trace.Hash128]int32, len(comps)),
 		all:       all,
-		keys:      trace.NewInterner(),
 		maxEvents: -1,
 	}
 	for _, c := range comps {
@@ -119,7 +124,6 @@ func newSorted(comps []*trace.Computation, all trace.ProcSet) *Universe {
 		comps:     comps,
 		all:       all,
 		sorted:    true,
-		keys:      trace.NewInterner(),
 		maxEvents: -1,
 	}
 }
