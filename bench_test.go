@@ -209,6 +209,36 @@ func BenchmarkEnumerateLargeTraced(b *testing.B) {
 	})
 }
 
+// BenchmarkColdUniverse is what a cold mck check pays before it
+// evaluates anything: enumerate the BenchmarkEnumerateLarge universe,
+// then build its first partition table. The engine builds the prefix
+// index every partition reads as part of enumeration, so EnumerateLarge
+// prices that index without the partition build it saves; this row
+// prices the two together.
+func BenchmarkColdUniverse(b *testing.B) {
+	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var size int
+			for i := 0; i < b.N; i++ {
+				u, err := universe.EnumerateWith(universe.NewFree(cfg),
+					universe.WithMaxEvents(6),
+					universe.WithParallelism(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				u.Partition(trace.NewProcSet("p"))
+				size = u.Len()
+			}
+			if size < 100000 {
+				b.Fatalf("universe too small for the large-bound benchmark: %d", size)
+			}
+			b.ReportMetric(float64(size), "computations")
+		})
+	}
+}
+
 // BenchmarkEnumerateSymmetry is the orbit-reduction ablation: the same
 // three-process free system enumerated in full and as a symmetry
 // quotient under the full interchange group, at the 16.9k (MaxEvents=5)

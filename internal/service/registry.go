@@ -269,6 +269,13 @@ func (r *Registry) getOnce(ctx context.Context, spec hpl.UniverseSpec, digest st
 		e.addHit()
 		return e, true, nil
 	}
+	// A Get whose context is already done must not start or join a
+	// build: a small build could finish before the select below runs,
+	// and the caller would get an entry instead of its own ctx.Err().
+	if err := ctx.Err(); err != nil {
+		r.mu.Unlock()
+		return nil, false, err
+	}
 	r.misses++
 	regLookupMisses.Inc()
 	c, inflight := r.calls[digest]

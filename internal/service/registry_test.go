@@ -247,6 +247,26 @@ func TestGetAfterAbandonedBuildRebuilds(t *testing.T) {
 	}
 }
 
+// TestGetPreCancelledStartsNoBuild checks that a Get whose context is
+// already cancelled returns ctx.Err() without counting a miss or
+// launching a build.
+func TestGetPreCancelledStartsNoBuild(t *testing.T) {
+	r := NewRegistry(Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		if _, _, err := r.Get(ctx, smallSpec("p", "q")); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Get %d with cancelled context: %v", i, err)
+		}
+	}
+	r.mu.Lock()
+	builds, misses, calls := r.builds, r.misses, len(r.calls)
+	r.mu.Unlock()
+	if builds != 0 || misses != 0 || calls != 0 {
+		t.Fatalf("cancelled Gets left builds=%d misses=%d in-flight=%d, want 0", builds, misses, calls)
+	}
+}
+
 // TestEstimateBytesScales sanity-checks the accounting estimate: a
 // larger universe must account strictly larger, and every universe
 // accounts nonzero.

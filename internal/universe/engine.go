@@ -2,7 +2,6 @@ package universe
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,21 +35,32 @@ import (
 //     computed once per worker.
 //
 // The emitted set is independent of worker count and of scheduling; the
-// final universe is canonicalized by sorting members by (length, hash),
-// so enumeration with any parallelism yields byte-identical results —
-// same member order, hence identical Partition tables and Transitions
-// graph. The differential tests in differential_test.go hold the engine
-// to that contract, against both its own sequential runs and a
-// replay-based reference enumerator.
+// final universe is put in canonical (length, hash) order by a bucket
+// pass over the emission records (see canonicalize), so enumeration
+// with any parallelism yields byte-identical results — same member
+// order, hence identical Partition tables and Transitions graph. The
+// search tree is the universe's prefix tree, so the same pass hands the
+// prefix index over: every record carries its parent's emission number
+// and its last event, interned by the emitting worker. The differential
+// tests in differential_test.go hold the engine to that contract,
+// against both its own sequential runs and a replay-based reference
+// enumerator.
 
 // enode is one work item of the frontier: a computation plus its
-// interned local-state vector. Under WithSymmetry it also carries the
-// computation's support mask — bit i set when procs[i] appears as the
-// Proc or Peer of some event — which identifies the node's stabilizer
-// (the pointwise stabilizer of the support) and hence its orbit size.
+// interned local-state vector and its parent's emission number (see
+// engine.emitted). Under WithSymmetry it also carries the computation's
+// support mask — bit i set when procs[i] appears as the Proc or Peer of
+// some event — which identifies the node's stabilizer (the pointwise
+// stabilizer of the support) and hence its orbit size. par sits in the
+// padding after sv, so a node stays 24 bytes.
 type enode struct {
 	comp *trace.Computation
 	sv   int32
+	// par is the emission number of the parent, -1 for the null
+	// computation. An extension's seed nodes are never emitted; they
+	// carry their own base member index instead, which is the number
+	// their children's par must name.
+	par  int32
 	mask uint64
 }
 
@@ -93,7 +103,11 @@ type engine struct {
 	stopped bool
 	stopErr error
 
-	shards   []dedupShard
+	shards []dedupShard
+	// emitted counts emitted members. Each claim draws its member's
+	// emission number from it: a from-scratch run numbers members 0, 1,
+	// …, and an extension continues after the base's members, so a
+	// number below the base size is a base member index.
 	emitted  atomic.Int64
 	frontier atomic.Int64
 
@@ -106,18 +120,35 @@ type engine struct {
 	// progMu serializes the user's progress callback.
 	progMu sync.Mutex
 
-	// outs collects emitted nodes per worker; merged and sorted once the
-	// pool drains. Keeping the whole node (not just the computation)
-	// preserves each member's interned state vector, which Extend needs
-	// to re-seed the next frontier without replaying the protocol.
-	outs [][]enode
+	// outs collects each worker's emission records; canonicalize
+	// merges them once the pool drains.
+	outs []emission
+}
+
+// emission is one worker's share of the emitted members, in its
+// emission order. Keeping the whole node (not just the computation)
+// preserves each member's interned state vector, which Extend needs to
+// re-seed the next frontier without replaying the protocol, and its
+// parent's emission number, which becomes the prefix index's parent.
+type emission struct {
+	nodes []enode
+	// event[k] is nodes[k]'s last event, interned in events while the
+	// record is still hot in the worker's cache; -1 for the null
+	// computation.
+	event  []int32
+	events eventTable
+	// num[k] is nodes[k]'s emission number. Nil with a single worker,
+	// whose records are numbered consecutively.
+	num []int32
+	// lens[l] counts the records with l events.
+	lens []int32
 }
 
 // worker holds one worker's arena, scratch buffers, and lock-free
 // caches over the engine's shared state table.
 type worker struct {
 	e     *engine
-	id    int
+	out   *emission
 	arena trace.Arena
 
 	batch    []enode
@@ -260,7 +291,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		grp:       grp,
 		noEmitLen: -1,
 		shards:    make([]dedupShard, nshards),
-		outs:      make([][]enode, cfg.parallelism),
+		outs:      make([]emission, cfg.parallelism),
 	}
 	for i := range e.shards {
 		e.shards[i].t = newHashTable(cfg.hashVerify)
@@ -277,7 +308,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		e.emitted.Store(int64(seed.base.Len()))
 		for i := 0; i < seed.base.Len(); i++ {
 			if c := seed.base.At(i); c.Len() == seed.base.maxEvents {
-				nd := enode{comp: c, sv: seed.svs[i]}
+				nd := enode{comp: c, sv: seed.svs[i], par: int32(i)}
 				if grp != nil {
 					nd.mask = e.supportMask(c)
 				}
@@ -290,7 +321,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 			vec0[i] = p.Init(id)
 		}
 		sv0, _ := states.intern(vec0, nil)
-		e.queue = []enode{{comp: trace.Empty(), sv: sv0}}
+		e.queue = []enode{{comp: trace.Empty(), sv: sv0, par: -1}}
 	}
 	e.frontier.Store(int64(len(e.queue)))
 
@@ -301,7 +332,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 			defer wg.Done()
 			wk := &worker{
 				e:       e,
-				id:      w,
+				out:     &e.outs[w],
 				evCount: make([]int32, n),
 				nextMsg: make([]int32, n),
 				vecs:    make(map[int32][]string),
@@ -335,84 +366,14 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	}
 
 	canonSp := cfg.trace.Start("enumerate.canonicalize")
-	total := 0
-	for _, out := range e.outs {
-		total += len(out)
-	}
-	fresh := make([]enode, 0, total)
-	for _, out := range e.outs {
-		fresh = append(fresh, out...)
-	}
-	// Canonical order: (length, hash). String keys are materialized
-	// only on a full 128-bit tie between distinct equal-length members,
-	// which cannot occur in practice (and under WithHashVerify cannot
-	// occur at all without failing the run first).
-	sort.Slice(fresh, func(i, j int) bool {
-		ci, cj := fresh[i].comp, fresh[j].comp
-		if ci.Len() != cj.Len() {
-			return ci.Len() < cj.Len()
-		}
-		hi, hj := ci.Hash(), cj.Hash()
-		if hi != hj {
-			return hi.Less(hj)
-		}
-		return ci.Key() < cj.Key()
-	})
-	// An extension's members are the base's (all shorter, already in
-	// canonical order) followed by the fresh ones: because length is the
-	// primary sort key and every fresh member is strictly longer than
-	// every old one, the concatenation is the global canonical order — a
-	// from-scratch build of the larger bound sorts to exactly this.
-	baseLen := 0
-	if seed != nil {
-		baseLen = seed.base.Len()
-	}
-	comps := make([]*trace.Computation, 0, baseLen+len(fresh))
-	svs := make([]int32, 0, baseLen+len(fresh))
-	if seed != nil {
-		comps = append(comps, seed.base.comps...)
-		svs = append(svs, seed.svs...)
-	}
-	for _, nd := range fresh {
-		comps = append(comps, nd.comp)
-		svs = append(svs, nd.sv)
-	}
-	if cfg.progress != nil {
-		cfg.progress(Progress{Explored: len(comps)})
-	}
-	// The engine's sharded dedup already guarantees distinct members in
-	// canonical order, so skip New's dedup pass and its eager hash index.
-	u := newSorted(comps, all)
-	u.proto = p
-	u.maxEvents = cfg.maxEvents
-	u.states = states
-	u.memberSV = svs
-	if grp != nil {
-		// Quotient bookkeeping: each member's orbit size, and the full
-		// universe's cardinality as their sum — the exact count a
-		// from-scratch run without the group would have produced.
-		orbs := make([]int64, 0, baseLen+len(fresh))
-		if seed != nil {
-			orbs = append(orbs, seed.base.orbitSize...)
-		}
-		for _, nd := range fresh {
-			orbs = append(orbs, grp.orbitSize(nd.mask))
-		}
-		var full int64
-		for _, o := range orbs {
-			full += o
-		}
-		u.sym = cfg.sym
-		u.orbitSize = orbs
-		u.fullSize = full
-	}
+	u := e.canonicalize(all, seed)
 	// The trace rides on the universe so the lazy partition/transition
 	// builds and snapshot encodes this build triggers later join its
 	// phase breakdown.
 	u.tr = cfg.trace
 	phaseCanonicalize.ObserveDuration(canonSp.End())
 	engineBuilds.Inc()
-	engineMembers.Add(int64(len(comps)))
+	engineMembers.Add(int64(u.Len()))
 	return u, nil
 }
 
@@ -514,14 +475,16 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 	c := nd.comp
 	// Nodes at or below the seed horizon are already members of the
 	// universe being extended: expand them, but claim and emit only
-	// their descendants.
+	// their descendants. Such a seed carries its own number in par.
+	self := nd.par
 	if c.Len() > e.noEmitLen {
 		fresh, err := e.claim(c)
 		if err != nil || !fresh {
 			return err
 		}
-		e.outs[w.id] = append(e.outs[w.id], nd)
 		count := e.emitted.Add(1)
+		self = int32(count - 1)
+		w.emit(nd, self)
 		if e.cfg.capN > 0 && count > int64(e.cfg.capN) {
 			return fmt.Errorf("%w: more than %d computations", ErrTooLarge, e.cfg.capN)
 		}
@@ -553,7 +516,7 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 		// and addressee both already appear in the parent's support (the
 		// send event carries them as Proc and Peer), so every stabilizer
 		// element fixes the receive event — its sibling orbit is itself.
-		*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: csv, mask: nd.mask | 1<<uint(dst)})
+		*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: csv, par: self, mask: nd.mask | 1<<uint(dst)})
 	}
 	// Spontaneous steps.
 	for pi := range e.procs {
@@ -606,10 +569,30 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 					continue
 				}
 			}
-			*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: w.stepChild(nd.sv, int32(pi), ai, a), mask: mask})
+			*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: w.stepChild(nd.sv, int32(pi), ai, a), par: self, mask: mask})
 		}
 	}
 	return nil
+}
+
+// emit appends nd, emitted as number num, to the worker's records and
+// interns its last event.
+func (w *worker) emit(nd enode, num int32) {
+	out := w.out
+	out.nodes = append(out.nodes, nd)
+	if len(w.e.outs) > 1 {
+		out.num = append(out.num, num)
+	}
+	ev := int32(-1)
+	if last, ok := nd.comp.Last(); ok {
+		ev = out.events.intern(&last)
+	}
+	out.event = append(out.event, ev)
+	l := nd.comp.Len()
+	for len(out.lens) <= l {
+		out.lens = append(out.lens, 0)
+	}
+	out.lens[l]++
 }
 
 // symCanonical reports whether extending parent (whose support is mask)

@@ -9,6 +9,7 @@ import "hpl/internal/obs"
 var (
 	phaseExpand       = buildPhase("expand")
 	phaseCanonicalize = buildPhase("canonicalize")
+	phasePrefixIndex  = buildPhase("prefix_index")
 	phasePartition    = buildPhase("partition")
 	phaseTransitions  = buildPhase("transitions")
 	phaseSnapEncode   = buildPhase("snapshot_encode")

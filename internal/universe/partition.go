@@ -464,6 +464,7 @@ func (u *Universe) Partition(p trace.ProcSet) *Partition {
 	}
 	cell := v.(*partitionCell)
 	cell.once.Do(func() {
+		u.prefixIndex() // a phase of its own, not part of this build's
 		sp := u.tr.Start("partition.build")
 		cell.pt.Store(NewPartition(u, p))
 		phasePartition.ObserveDuration(sp.End())

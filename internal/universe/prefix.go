@@ -1,6 +1,7 @@
 package universe
 
 import (
+	"slices"
 	"sort"
 
 	"hpl/internal/trace"
@@ -12,8 +13,10 @@ import (
 // one event, so this is all the partition builder and the transition
 // graph need — neither touches a member's event history again.
 //
-// The index is built once per universe (Universe.prefixIndex) and is
-// immutable afterwards, so concurrent partition builds share it.
+// The enumeration engine hands each universe it builds its index (see
+// engine.canonicalize); other universes build theirs once, on first use
+// (Universe.prefixIndex). The index is immutable afterwards, so
+// concurrent partition builds share it.
 type prefixIndex struct {
 	// parent[j] is the member index of j's prefix, or -1 when j is the
 	// null computation or its prefix is not a member.
@@ -36,29 +39,33 @@ type prefixIndex struct {
 }
 
 // prefixIndex returns the universe's prefix index, building it on first
-// use. Concurrent callers share one build.
+// use; enumerated universes are born with theirs. Concurrent callers
+// share one build, which a trace records as the prefix.index phase.
 func (u *Universe) prefixIndex() *prefixIndex {
 	u.prefixOnce.Do(func() {
-		u.prefix = newPrefixIndex(u)
-		u.loadParents = nil
+		sp := u.tr.Start("prefix.index")
+		u.prefix = newPrefixIndex(u, u.parents)
+		phasePrefixIndex.ObserveDuration(sp.End())
 	})
 	return u.prefix
 }
 
-// newPrefixIndex resolves every member's parent and interns its last
-// event. Parents come from the snapshot decoder when it recorded them,
-// and from a probe of a table of member hashes otherwise.
-func newPrefixIndex(u *Universe) *prefixIndex {
+// newPrefixIndex interns every member's last event, in member order,
+// and takes its parents from parents when given — the snapshot loader
+// decodes them — or resolves each through IndexOf otherwise. It is the
+// reference the engine's handed-over index is tested against.
+func newPrefixIndex(u *Universe, parents []int32) *prefixIndex {
 	n := u.Len()
-	x := &prefixIndex{parent: u.loadParents, event: make([]int32, n)}
-	var members *memberTable
-	if x.parent == nil {
+	x := &prefixIndex{parent: parents, event: make([]int32, n)}
+	if parents == nil {
 		x.parent = make([]int32, n)
-		members = newMemberTable(u.comps)
 	}
 	for j, c := range u.comps {
-		if members != nil {
-			x.parent[j] = members.find(c.Parent())
+		if parents == nil {
+			x.parent[j] = -1
+			if p := c.Parent(); p != nil {
+				x.parent[j] = int32(u.IndexOf(p))
+			}
 		}
 		last, ok := c.Last()
 		if !ok {
@@ -93,9 +100,9 @@ func newPrefixIndex(u *Universe) *prefixIndex {
 
 // probeTable maps hashes to dense identifiers 0, 1, … by linear
 // probing; the caller keeps the entries and decides equality. It backs
-// the prefix index's member and event tables and a partition build's
-// tuple table, whose keys Go maps would hash slowly (structs of
-// strings) or allocate for (tuples as strings).
+// the event tables and a partition build's tuple table, whose keys Go
+// maps would hash slowly (structs of strings) or allocate for (tuples
+// as strings).
 type probeTable struct {
 	slots []int32 // identifier + 1; 0 marks an empty slot
 	n     int
@@ -141,37 +148,6 @@ func (t *probeTable) place(h uint64, id int32) {
 	t.slots[k] = id + 1
 }
 
-// memberTable finds members by (canonical hash, length), the identity
-// Universe.IndexOf decides membership by.
-type memberTable struct {
-	probe  probeTable
-	hashes []trace.Hash128
-	lens   []int32
-}
-
-func newMemberTable(comps []*trace.Computation) *memberTable {
-	t := &memberTable{
-		hashes: make([]trace.Hash128, len(comps)),
-		lens:   make([]int32, len(comps)),
-	}
-	hashOf := func(i int32) uint64 { return t.hashes[i].Lo }
-	for i, c := range comps {
-		t.hashes[i], t.lens[i] = c.Hash(), int32(c.Len())
-		t.probe.add(hashOf(int32(i)), hashOf)
-	}
-	return t
-}
-
-// find returns the member index of c, or -1 when c is nil or not a
-// member.
-func (t *memberTable) find(c *trace.Computation) int32 {
-	if c == nil {
-		return -1
-	}
-	h, ln := c.Hash(), int32(c.Len())
-	return t.probe.find(h.Lo, func(i int32) bool { return t.hashes[i] == h && t.lens[i] == ln })
-}
-
 // eventTable interns events to dense identifiers, assigned in interning
 // order.
 type eventTable struct {
@@ -184,6 +160,15 @@ type eventTable struct {
 func (t *eventTable) lookup(ev *trace.Event) (int32, bool) {
 	id := t.probe.find(eventHash(ev), func(id int32) bool { return t.events[id] == *ev })
 	return id, id >= 0
+}
+
+// clone returns an independent copy of the table, which interns on
+// from where t left off.
+func (t *eventTable) clone() eventTable {
+	return eventTable{
+		events: slices.Clone(t.events),
+		probe:  probeTable{slots: slices.Clone(t.probe.slots), n: t.probe.n},
+	}
 }
 
 // intern returns the identifier of ev, assigning the next one when ev

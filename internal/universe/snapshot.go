@@ -136,8 +136,9 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 		}
 	}
 
-	// Members: parent index + last event + state vector.
-	parents := u.prefixIndex().parent
+	// Members: parent index + last event + state vector. Sorted
+	// universes know their parents from construction.
+	parents := u.parents
 	body = binary.AppendUvarint(body, uint64(u.Len()))
 	for i := 0; i < u.Len(); i++ {
 		c := u.At(i)
@@ -361,8 +362,7 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// projection-key indexes) rebuilds lazily if the workload probes it.
 	// The decoded parent references seed the prefix index, so partition
 	// and transition builds never resolve parents through the hash index.
-	u := newSorted(comps, trace.NewProcSet(procIDs...))
-	u.loadParents = parents
+	u := newSorted(comps, trace.NewProcSet(procIDs...), parents)
 	u.maxEvents = int(maxEvents)
 	u.states = newStateTableFrom(vecs)
 	u.memberSV = svs

@@ -87,6 +87,53 @@ func TestWithTraceSymmetryPhase(t *testing.T) {
 	}
 }
 
+// TestPrefixIndexPhase checks the prefix.index phase: enumerated
+// universes are born with their index, so neither their trace nor the
+// prefix_index build-phase histogram records a build, while snapshot
+// loads and hand-built universes build theirs once, on first use.
+func TestPrefixIndexPhase(t *testing.T) {
+	builds := obs.Default.Histogram("hpl_build_phase_seconds",
+		"Wall time of universe build phases.", obs.TimeBuckets, "phase", "prefix_index")
+	p := universe.NewFree(universe.FreeConfig{
+		Procs:    []trace.ProcID{"p", "q"},
+		MaxSends: 2,
+	})
+	tr := obs.NewTrace()
+	before := builds.Count()
+	u, err := universe.EnumerateWith(p, universe.WithMaxEvents(4), universe.WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Partition(trace.NewProcSet("p"))
+	u.Transitions()
+	if _, ok := phaseIndex(tr)["prefix.index"]; ok {
+		t.Errorf("enumerated universe recorded a prefix.index build (phases: %v)", tr.Phases())
+	}
+	if got := builds.Count(); got != before {
+		t.Errorf("enumerated universe: prefix_index observations %d -> %d, want none", before, got)
+	}
+
+	var buf bytes.Buffer
+	if err := universe.WriteSnapshot(&buf, u, "digest"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := universe.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Partition(trace.NewProcSet("q"))
+	loaded.Partition(trace.NewProcSet("p", "q"))
+	if got := builds.Count(); got != before+1 {
+		t.Errorf("snapshot load: prefix_index observations %d -> %d, want one", before, got)
+	}
+
+	hand := universe.New(u.Computations(), u.All())
+	hand.Transitions()
+	if got := builds.Count(); got != before+2 {
+		t.Errorf("hand-built universe: prefix_index observations %d -> %d, want one more", before+1, got)
+	}
+}
+
 // TestUntracedBuildStillCounts checks the global metrics path is fed
 // without WithTrace: a plain build moves the build counters.
 func TestUntracedBuildStillCounts(t *testing.T) {

@@ -175,6 +175,7 @@ func (t *Transitions) buildForward() {
 // building it on first use. Concurrent callers share one build.
 func (u *Universe) Transitions() *Transitions {
 	u.transOnce.Do(func() {
+		u.prefixIndex() // a phase of its own, not part of this build's
 		sp := u.tr.Start("transitions.build")
 		u.trans.Store(NewTransitions(u))
 		phaseTransitions.ObserveDuration(sp.End())

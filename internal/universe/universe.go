@@ -52,12 +52,16 @@ type Universe struct {
 	// Built on first use, safe under concurrent evaluators.
 	parts sync.Map
 	// prefix is the flattened prefix tree every partition build and the
-	// transition graph read; see prefixIndex. Built once on first use.
-	// loadParents carries the parent references a snapshot load already
-	// decoded into that build, which then skips resolving them.
-	prefixOnce  sync.Once
-	prefix      *prefixIndex
-	loadParents []int32
+	// transition graph read; see prefixIndex. The enumeration engine
+	// hands it over with the universe; otherwise it is built once on
+	// first use. parents holds each member's parent index on sorted
+	// universes, whose constructors know them (the engine and the
+	// snapshot loader), so that build only interns events and the
+	// snapshot writer needs no index; nil for New universes, whose
+	// parents the build resolves through the hash index.
+	prefixOnce sync.Once
+	prefix     *prefixIndex
+	parents    []int32
 	// trans caches the prefix-extension transition graph; see
 	// Transitions. Built on first use, shared by concurrent evaluators.
 	// The atomic pointer is published inside the once so concurrent
@@ -117,13 +121,15 @@ func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 
 // newSorted wraps members that are already in canonical (length, hash)
 // order and known distinct — the enumeration engine's and the snapshot
-// loader's output. It skips New's dedup pass; the hash index is built
-// lazily on first IndexOf.
-func newSorted(comps []*trace.Computation, all trace.ProcSet) *Universe {
+// loader's output — with parents[j] the member index of member j's
+// prefix (-1 for the null computation). It skips New's dedup pass; the
+// hash index is built lazily on first IndexOf.
+func newSorted(comps []*trace.Computation, all trace.ProcSet, parents []int32) *Universe {
 	return &Universe{
 		comps:     comps,
 		all:       all,
 		sorted:    true,
+		parents:   parents,
 		maxEvents: -1,
 	}
 }

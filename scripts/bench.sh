@@ -28,10 +28,10 @@ case "${GOMAXPROCS:-}" in
 esac
 
 if [ "$CPUS" -le 1 ]; then
-	BENCH='EnumerateSymmetry|EnumerateFaults|Enumerate.*/workers=1$|Snapshot|Extend'
+	BENCH='EnumerateSymmetry|EnumerateFaults|Enumerate.*/workers=1$|ColdUniverse/workers=1$|Snapshot|Extend'
 	CPU_NOTE="1 CPU available: multi-worker rows skipped (workers>1 on one core measures scheduler overhead, not scaling); CI's bench-smoke job records the full worker matrix."
 else
-	BENCH='Enumerate|Snapshot|Extend'
+	BENCH='Enumerate|ColdUniverse|Snapshot|Extend'
 	CPU_NOTE="$CPUS CPUs available: full worker matrix."
 fi
 echo "bench.sh: $CPU_NOTE" >&2
