@@ -116,12 +116,12 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 // system at MaxEvents=6 (≥100k computations), with allocations
 // reported. The per-member allocation count is the headline number —
 // the engine shares each child's history with its parent, interns
-// state vectors, and dedups by 128-bit hash, so the old
-// copy-everything cost model (events slice + state map + string key
-// per member) no longer applies.
+// state vectors, and keeps no seen-set (each member is generated once),
+// so the old copy-everything cost model (events slice + state map +
+// string key per member) no longer applies.
 func BenchmarkEnumerateLarge(b *testing.B) {
 	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var size int
@@ -217,7 +217,7 @@ func BenchmarkEnumerateLargeTraced(b *testing.B) {
 // prices the two together.
 func BenchmarkColdUniverse(b *testing.B) {
 	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var size int

@@ -156,11 +156,6 @@ func WithContext(ctx context.Context) EnumOption { return universe.WithContext(c
 // WithProgress installs a progress callback (serialized by the engine).
 func WithProgress(fn func(EnumProgress)) EnumOption { return universe.WithProgress(fn) }
 
-// WithHashVerify makes the engine verify every 128-bit dedup hash hit
-// against full canonical keys, failing with universe.ErrHashCollision
-// on a mismatch. A debug option: collisions have probability ~2^-128.
-func WithHashVerify() EnumOption { return universe.WithHashVerify() }
-
 // Trace accumulates named per-phase wall times for a build (frontier
 // expansion, canonical sort, partition/transition construction,
 // snapshot encode, symmetry filtering). Attach one with WithTrace and

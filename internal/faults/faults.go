@@ -299,7 +299,10 @@ func (w *wrapped) Steps(p trace.ProcID, state string) []universe.Action {
 		// Every enabled send may instead be dropped: an internal event on
 		// the sender, with the original destination riding along in To
 		// (the engine ignores To on internal actions; AfterStep uses it
-		// to replay the inner send).
+		// to replay the inner send). Drops of one tag to different
+		// destinations are therefore a single event, and the engine
+		// merges them into the first, provided the inner protocol's
+		// state after the send does not depend on its destination.
 		for _, a := range inner {
 			if a.Kind == trace.KindSend {
 				out = append(out, universe.Action{Kind: trace.KindInternal, To: a.To, Tag: DropTag(a.Tag)})

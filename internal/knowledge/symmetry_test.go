@@ -44,7 +44,7 @@ func symmetricSuite(all trace.ProcSet, fixed []trace.ProcID, tag string) []knowl
 // checkQuotientAgrees evaluates the suite on the full universe and on
 // the quotient and requires identical verdicts everywhere: validity,
 // init verdict, and the orbit-weighted holding count against the full
-// count, at several worker counts with hash verification on.
+// count, at several worker counts.
 func checkQuotientAgrees(t *testing.T, label string, proto universe.Protocol, sym *universe.Symmetry, maxEvents int, fixed []trace.ProcID, tag string) {
 	t.Helper()
 	full, err := universe.EnumerateWith(proto, universe.WithMaxEvents(maxEvents))
@@ -58,8 +58,7 @@ func checkQuotientAgrees(t *testing.T, label string, proto universe.Protocol, sy
 		quo, err := universe.EnumerateWith(proto,
 			universe.WithMaxEvents(maxEvents),
 			universe.WithSymmetry(sym),
-			universe.WithParallelism(workers),
-			universe.WithHashVerify())
+			universe.WithParallelism(workers))
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
 		}

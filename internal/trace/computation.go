@@ -34,8 +34,8 @@ var (
 // cached; the 128-bit canonical hash is extended incrementally at
 // construction, so identity checks and dedup never touch strings. The
 // enumeration engine (internal/universe) is built on exactly these
-// properties: child = parent + event, dedup by hash, keys never
-// computed.
+// properties: child = parent + event, order and index by hash, keys
+// never computed.
 type Computation struct {
 	// parent is the one-event-shorter prefix; nil exactly for the empty
 	// computation.

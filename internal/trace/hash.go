@@ -7,14 +7,14 @@ import "math/bits"
 // with the same event sequence always have equal hashes, and the hash
 // of a one-event extension is computed from the parent's hash and the
 // new event alone, in O(len(event)) — never by re-reading the prefix.
-// That property is what lets the enumeration engine deduplicate and
-// canonically order hundreds of thousands of computations without ever
+// That property is what lets the enumeration engine canonically order
+// and index hundreds of thousands of computations without ever
 // materializing their string keys.
 //
-// Distinct sequences collide with probability ~2^-128 per pair; the
-// engine's dedup tables additionally discriminate on sequence length
-// and can be made to verify every hash hit against the full string keys
-// (see universe.WithHashVerify).
+// Distinct sequences collide with probability ~2^-128 per pair. The
+// engine orders members by (length, hash) and fails the enumeration
+// with universe.ErrHashCollision if two members of one length share a
+// hash.
 type Hash128 struct {
 	Hi, Lo uint64
 }

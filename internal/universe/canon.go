@@ -1,10 +1,19 @@
 package universe
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"hpl/internal/trace"
 )
+
+// ErrHashCollision reports two distinct computations of one length with
+// equal 128-bit canonical hashes. Distinct sequences collide with
+// probability ~2^-128 per pair, and no collision has ever been
+// observed; canonicalOrder checks every enumeration for one all the
+// same, because the universe's hash index could not tell the two apart.
+var ErrHashCollision = errors.New("universe: 128-bit canonical hash collision")
 
 // canonicalize turns the drained pool's emission records into the
 // universe. The engine's search tree is the universe's prefix tree, so
@@ -18,21 +27,23 @@ import (
 // build over the finished universe: the same parents, and events
 // numbered by first occurrence in member order, which is the order
 // newPrefixIndex interns in.
-func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) *Universe {
+func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, error) {
 	base := 0
 	if seed != nil {
 		base = seed.base.Len()
 	}
-	// The pool has drained: release the dedup tables before allocating
-	// the universe, and each record array once it is consumed.
-	e.shards = nil
+	// The pool has drained: release each record array once it is
+	// consumed.
 	recs, recEvent, recEvents, lens := e.mergeEmissions(base)
 	e.outs = nil
 	// memberOf maps a record to its member index. canonicalOrder uses it
 	// as scratch first; each entry is rewritten before it is read, since
 	// a parent is shorter than its children and so precedes them.
 	memberOf := make([]int32, len(recs))
-	order := canonicalOrder(recs, lens, memberOf)
+	order, err := canonicalOrder(recs, lens, memberOf)
+	if err != nil {
+		return nil, err
+	}
 
 	n := base + len(recs)
 	comps := make([]*trace.Computation, n)
@@ -106,7 +117,7 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) *Universe {
 		u.orbitSize = orbs
 		u.fullSize = full
 	}
-	return u
+	return u, nil
 }
 
 // mergeEmissions lays the workers' records out by emission number, less
@@ -160,10 +171,10 @@ func (e *engine) mergeEmissions(base int) (recs []enode, event []int32, events *
 // length holding c records, 2^(b-1) ≤ c < 2^b, so a bucket holds under
 // one record on average — and an insertion sort finishes each bucket on
 // the full hash. Only the latter touches a computation more than once.
-// The canonical key breaks a full 128-bit tie between distinct
-// equal-length members, which cannot occur in practice (and under
-// WithHashVerify cannot occur at all without failing the run first).
-func canonicalOrder(recs []enode, lens []int32, keys []int32) []int32 {
+// The records are distinct computations (see the engine.go header), so
+// a full 128-bit tie at one length is a hash collision, and
+// checkHashTies fails the run on it rather than order the pair.
+func canonicalOrder(recs []enode, lens []int32, keys []int32) ([]int32, error) {
 	first := make([]int, len(lens)+1)
 	shift := make([]uint8, len(lens))
 	for l, c := range lens {
@@ -191,13 +202,7 @@ func canonicalOrder(recs []enode, lens []int32, keys []int32) []int32 {
 		order[bound[b]] = int32(k)
 		bound[b]++
 	}
-	less := func(i, j int32) bool {
-		ci, cj := recs[i].comp, recs[j].comp
-		if hi, hj := ci.Hash(), cj.Hash(); hi != hj {
-			return hi.Less(hj)
-		}
-		return ci.Key() < cj.Key()
-	}
+	less := func(i, j int32) bool { return recs[i].comp.Hash().Less(recs[j].comp.Hash()) }
 	lo := int32(0)
 	for _, hi := range bound {
 		for a := lo + 1; a < hi; a++ {
@@ -207,5 +212,19 @@ func canonicalOrder(recs []enode, lens []int32, keys []int32) []int32 {
 		}
 		lo = hi
 	}
-	return order
+	return order, checkHashTies(recs, order, (*trace.Computation).Hash)
+}
+
+// checkHashTies fails with ErrHashCollision when two records adjacent in
+// order — canonical order under hash — have equal lengths and hashes.
+// Equal hashes at different lengths pass. hash is a parameter so tests
+// can forge collisions.
+func checkHashTies(recs []enode, order []int32, hash func(*trace.Computation) trace.Hash128) error {
+	for i := 1; i < len(order); i++ {
+		a, b := recs[order[i-1]].comp, recs[order[i]].comp
+		if a.Len() == b.Len() && hash(a) == hash(b) {
+			return fmt.Errorf("%w: %q vs %q", ErrHashCollision, a.Key(), b.Key())
+		}
+	}
+	return nil
 }

@@ -237,9 +237,8 @@ func requireIdenticalUniverses(t *testing.T, label string, got, want *universe.U
 
 // TestEngineMatchesReference differences the zero-copy engine against
 // the replay-based reference enumerator on every protocol in
-// internal/protocols, at parallelism 1, 2, and 8, with hash
-// verification on: identical member sequence, Partition tables, and
-// Transitions graph.
+// internal/protocols, at parallelism 1, 2, and 8: identical member
+// sequence, Partition tables, and Transitions graph.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, e := range allProtocols(t) {
 		t.Run(e.name, func(t *testing.T) {
@@ -250,8 +249,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				got, err := universe.EnumerateWith(e.p,
 					universe.WithMaxEvents(e.maxEvents),
-					universe.WithParallelism(workers),
-					universe.WithHashVerify())
+					universe.WithParallelism(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,8 +286,7 @@ func TestEngineMatchesReferenceRandomFree(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				got, err := universe.EnumerateWith(p,
 					universe.WithMaxEvents(maxEvents),
-					universe.WithParallelism(workers),
-					universe.WithHashVerify())
+					universe.WithParallelism(workers))
 				if err != nil {
 					t.Fatal(err)
 				}

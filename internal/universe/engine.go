@@ -1,7 +1,9 @@
 package universe
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,10 +24,23 @@ import (
 //     the engine's events are canonical by construction — with event
 //     and message identifiers taken from tables precomputed up to the
 //     event bound, so child construction allocates no strings.
-//   - Dedup is keyed on the incrementally-extended 128-bit canonical
-//     hash in sharded open-addressing tables (see hashTable); no string
-//     key is ever computed or retained. WithHashVerify upgrades the
-//     ~2^-128 collision assumption to a checked invariant.
+//   - No seen-set: every node above the seed horizon is emitted, and
+//     no two are the same computation. The search tree is the
+//     universe's prefix tree — a node is its parent plus one event — so
+//     two nodes can be the same sequence only if one parent yields the
+//     same event twice. Its deliveries cannot, since each names its own
+//     message, and stepActions collapses spontaneous actions whose
+//     events coincide where they arise. By induction on length, then,
+//     distinct nodes are distinct sequences. Under WithSymmetry the
+//     emitted nodes are moreover in distinct orbits: if σ maps node x
+//     to node y, it fixes their longest common prefix c, so σ is in
+//     c's stabilizer and maps x's child of c to y's — two siblings in
+//     one stabilizer orbit, of which symCanonical keeps only one. An
+//     extension (Extend) expands its seeds, the base's frontier,
+//     without re-emitting them, and everything it emits is longer than
+//     every base member. What remains is the ~2^-128 assumption that
+//     distinct members of one length hash apart, and canonicalOrder
+//     checks it (ErrHashCollision).
 //   - Workers pop nodes and push children in batches, so queue lock
 //     traffic is amortized over dozens of expansions.
 //   - Protocol transitions (Steps/AfterStep/Deliver) are cached per
@@ -46,6 +61,12 @@ import (
 // against both its own sequential runs and a replay-based reference
 // enumerator.
 
+// ErrAmbiguousStep reports a protocol that, in one local state, enables
+// two actions with the same event but different successor states: its
+// event sequence does not determine its state, so its computations are
+// not a function of their events.
+var ErrAmbiguousStep = errors.New("universe: equal events lead to different states")
+
 // enode is one work item of the frontier: a computation plus its
 // interned local-state vector and its parent's emission number (see
 // engine.emitted). Under WithSymmetry it also carries the computation's
@@ -62,13 +83,6 @@ type enode struct {
 	// their children's par must name.
 	par  int32
 	mask uint64
-}
-
-// dedupShard is one lock-striped open-addressing table of the global
-// seen set.
-type dedupShard struct {
-	mu sync.Mutex
-	t  hashTable
 }
 
 type engine struct {
@@ -91,9 +105,9 @@ type engine struct {
 	grp *symGroup
 
 	// noEmitLen marks the seed horizon of an extension run: nodes of
-	// that length or shorter are expanded but neither claimed nor
-	// emitted — they are already members of the universe being extended.
-	// -1 for from-scratch runs, so the null computation is emitted.
+	// that length or shorter are expanded but not emitted — they are
+	// already members of the universe being extended. -1 for
+	// from-scratch runs, so the null computation is emitted.
 	noEmitLen int
 
 	mu      sync.Mutex
@@ -103,8 +117,7 @@ type engine struct {
 	stopped bool
 	stopErr error
 
-	shards []dedupShard
-	// emitted counts emitted members. Each claim draws its member's
+	// emitted counts emitted members. Each emission draws its member's
 	// emission number from it: a from-scratch run numbers members 0, 1,
 	// …, and an extension continues after the base's members, so a
 	// number below the base size is a base member index.
@@ -276,10 +289,6 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		states = seed.states
 	}
 
-	nshards := 1
-	if cfg.parallelism > 1 {
-		nshards = 64
-	}
 	e := &engine{
 		p:         p,
 		cfg:       cfg,
@@ -290,20 +299,13 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		states:    states,
 		grp:       grp,
 		noEmitLen: -1,
-		shards:    make([]dedupShard, nshards),
 		outs:      make([]emission, cfg.parallelism),
-	}
-	for i := range e.shards {
-		e.shards[i].t = newHashTable(cfg.hashVerify)
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if seed != nil {
-		// Queue the old frontier. Every new member has length above the
-		// seed horizon while every old member is at or below it, so the
-		// fresh (empty) dedup shards are sound: no new computation can
-		// collide with an old one on (hash, length). The emit counter
-		// starts at the base size so cap and progress semantics match a
-		// from-scratch run of the larger bound.
+		// Queue the old frontier. The emit counter starts at the base
+		// size so cap and progress semantics match a from-scratch run of
+		// the larger bound.
 		e.noEmitLen = seed.base.maxEvents
 		e.emitted.Store(int64(seed.base.Len()))
 		for i := 0; i < seed.base.Len(); i++ {
@@ -366,7 +368,10 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	}
 
 	canonSp := cfg.trace.Start("enumerate.canonicalize")
-	u := e.canonicalize(all, seed)
+	u, err := e.canonicalize(all, seed)
+	if err != nil {
+		return nil, err
+	}
 	// The trace rides on the universe so the lazy partition/transition
 	// builds and snapshot encodes this build triggers later join its
 	// phase breakdown.
@@ -465,8 +470,7 @@ func (e *engine) run(w *worker) {
 	}
 }
 
-// expand emits nd's computation (unless another worker already claimed
-// its hash) and appends its children to *children.
+// expand emits nd's computation and appends its children to *children.
 func (w *worker) expand(nd enode, children *[]enode) error {
 	e := w.e
 	if err := e.cfg.ctx.Err(); err != nil {
@@ -474,14 +478,10 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 	}
 	c := nd.comp
 	// Nodes at or below the seed horizon are already members of the
-	// universe being extended: expand them, but claim and emit only
-	// their descendants. Such a seed carries its own number in par.
+	// universe being extended: expand them, but emit only their
+	// descendants. Such a seed carries its own number in par.
 	self := nd.par
 	if c.Len() > e.noEmitLen {
-		fresh, err := e.claim(c)
-		if err != nil || !fresh {
-			return err
-		}
 		count := e.emitted.Add(1)
 		self = int32(count - 1)
 		w.emit(nd, self)
@@ -521,7 +521,11 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 	// Spontaneous steps.
 	for pi := range e.procs {
 		pid := e.procs[pi]
-		for ai, a := range w.stepActions(nd.sv, int32(pi)) {
+		acts, err := w.stepActions(nd.sv, int32(pi))
+		if err != nil {
+			return err
+		}
+		for ai, a := range acts {
 			var ev trace.Event
 			qi := int32(-1)
 			switch a.Kind {
@@ -636,8 +640,8 @@ func (w *worker) symCanonical(parent *trace.Computation, mask uint64, ev trace.E
 			sev.Peer = e.procs[perm[qi]]
 		}
 		// Strict less: on the ~2^-128 event of a full hash tie between
-		// distinct siblings both survive, and the dedup tables (plus
-		// WithHashVerify) own that case as they do for the full universe.
+		// distinct siblings both survive, and canonicalOrder fails the
+		// run on their equal (length, hash) with ErrHashCollision.
 		if parent.Hash().ExtendEvent(sev).Less(h) {
 			return false
 		}
@@ -732,16 +736,54 @@ func (w *worker) vec(sv int32) []string {
 }
 
 // stepActions returns the spontaneous actions enabled for procs[pi] in
-// state vector sv, computed once per (sv, pi) per worker.
-func (w *worker) stepActions(sv, pi int32) []Action {
+// state vector sv, computed once per (sv, pi) per worker. Actions whose
+// events coincide are collapsed into the first of them in Steps order
+// (see distinctActions), so no parent yields the same child twice.
+func (w *worker) stepActions(sv, pi int32) ([]Action, error) {
 	k := stepsKey{sv, pi}
 	if a, ok := w.steps[k]; ok {
-		return a
+		return a, nil
 	}
-	v := w.vec(sv)
-	a := w.e.p.Steps(w.e.procs[pi], v[pi])
+	p, s := w.e.procs[pi], w.vec(sv)[pi]
+	a, err := distinctActions(w.e.p, p, s, w.e.p.Steps(p, s))
+	if err != nil {
+		return nil, err
+	}
 	w.steps[k] = a
-	return a
+	return a, nil
+}
+
+// distinctActions returns acts less every action whose event equals an
+// earlier one's: the engine builds a step's event from its Kind and Tag,
+// plus To for a send, so such actions yield the same child. acts itself
+// is returned when all are distinct. Collapsing is sound only when the
+// merged actions also agree on AfterStep; otherwise the protocol's event
+// sequence does not determine its state, and enumeration fails with
+// ErrAmbiguousStep.
+func distinctActions(pr Protocol, p trace.ProcID, state string, acts []Action) ([]Action, error) {
+	var out []Action // nil until the first duplicate
+	for i, a := range acts {
+		j := slices.IndexFunc(acts[:i], func(b Action) bool {
+			return a.Kind == b.Kind && a.Tag == b.Tag && (a.Kind != trace.KindSend || a.To == b.To)
+		})
+		if j < 0 {
+			if out != nil {
+				out = append(out, a)
+			}
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(acts[:i])
+		}
+		if s1, s2 := pr.AfterStep(p, state, acts[j]), pr.AfterStep(p, state, a); s1 != s2 {
+			return nil, fmt.Errorf("%w: protocol %T: %s in state %q: actions %+v and %+v lead to %q and %q",
+				ErrAmbiguousStep, pr, p, state, acts[j], a, s1, s2)
+		}
+	}
+	if out == nil {
+		return acts, nil
+	}
+	return out, nil
 }
 
 // stepChild returns the interned state vector after procs[pi] performs
@@ -777,18 +819,6 @@ func (w *worker) deliverChild(sv, dst, from int32, tag string) int32 {
 	}
 	w.delivSV[k] = id
 	return id
-}
-
-// claim records c's (hash, length) in the sharded seen set; it reports
-// whether this call was the first to see it. Under WithHashVerify a
-// hash hit is additionally checked against the full canonical keys.
-func (e *engine) claim(c *trace.Computation) (bool, error) {
-	h := c.Hash()
-	s := &e.shards[int(h.Hi)&(len(e.shards)-1)]
-	s.mu.Lock()
-	fresh, err := s.t.insert(h, c.Len(), c)
-	s.mu.Unlock()
-	return fresh, err
 }
 
 func (e *engine) reportProgress() {

@@ -15,8 +15,7 @@ import (
 // differential: extending a bound-(n-1) universe to bound n must yield
 // a universe byte-identical — member order, Partition tables,
 // Transitions graph — to enumerating bound n from scratch, for every
-// protocol in internal/protocols, at several parallelism levels, with
-// hash verification on.
+// protocol in internal/protocols, at several parallelism levels.
 func TestExtendMatchesFromScratch(t *testing.T) {
 	for _, e := range allProtocols(t) {
 		t.Run(e.name, func(t *testing.T) {
@@ -36,8 +35,7 @@ func TestExtendMatchesFromScratch(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				got, err := universe.Extend(base,
 					universe.WithMaxEvents(e.maxEvents),
-					universe.WithParallelism(workers),
-					universe.WithHashVerify())
+					universe.WithParallelism(workers))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -33,8 +33,6 @@ type config struct {
 	// progressEvery is the number of emissions between progress
 	// callbacks; tests shrink it to observe mid-run snapshots.
 	progressEvery int
-	// hashVerify makes dedup double-check hash hits against full keys.
-	hashVerify bool
 	// sym quotients the enumeration by a process-symmetry group; nil
 	// (or a trivial group) enumerates the full universe.
 	sym *Symmetry
@@ -106,17 +104,6 @@ func WithContext(ctx context.Context) Option {
 // call back into the enumeration.
 func WithProgress(fn func(Progress)) Option {
 	return func(c *config) { c.progress = fn }
-}
-
-// WithHashVerify makes the engine retain the first claimant of every
-// dedup slot and compare full canonical string keys whenever two
-// computations of equal length hit the same 128-bit hash, failing the
-// enumeration with ErrHashCollision on a mismatch. Distinct sequences
-// collide with probability ~2^-128, so production runs skip the check
-// (and the string keys entirely); this option exists for debug runs
-// that want the assumption proven rather than assumed.
-func WithHashVerify() Option {
-	return func(c *config) { c.hashVerify = true }
 }
 
 // WithSymmetry quotients the enumeration by the process-symmetry group

@@ -171,8 +171,7 @@ func TestQuotientIsOrbitTransversal(t *testing.T) {
 			full := universe.MustEnumerateWith(proto, universe.WithMaxEvents(tc.max))
 			quo, err := universe.EnumerateWith(proto,
 				universe.WithMaxEvents(tc.max),
-				universe.WithSymmetry(sym),
-				universe.WithHashVerify())
+				universe.WithSymmetry(sym))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,12 +217,12 @@ func TestQuotientIsOrbitTransversal(t *testing.T) {
 }
 
 // TestQuotientDeterministic holds the quotient to the engine's
-// any-parallelism byte-identity contract, with hash verification on.
+// any-parallelism byte-identity contract.
 func TestQuotientDeterministic(t *testing.T) {
 	proto := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2})
 	sym := universe.InferSymmetry(proto)
 	want, err := universe.EnumerateWith(proto,
-		universe.WithMaxEvents(5), universe.WithSymmetry(sym), universe.WithHashVerify())
+		universe.WithMaxEvents(5), universe.WithSymmetry(sym))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +230,7 @@ func TestQuotientDeterministic(t *testing.T) {
 		got, err := universe.EnumerateWith(proto,
 			universe.WithMaxEvents(5),
 			universe.WithSymmetry(sym),
-			universe.WithParallelism(workers),
-			universe.WithHashVerify())
+			universe.WithParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,8 +382,7 @@ func TestQuotientReductionLarge(t *testing.T) {
 	}
 	quo, err := universe.EnumerateWith(proto,
 		universe.WithMaxEvents(6),
-		universe.WithSymmetry(universe.InferSymmetry(proto)),
-		universe.WithHashVerify())
+		universe.WithSymmetry(universe.InferSymmetry(proto)))
 	if err != nil {
 		t.Fatal(err)
 	}

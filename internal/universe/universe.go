@@ -36,11 +36,13 @@ type Universe struct {
 	// byHash indexes members by their 128-bit canonical hash. No string
 	// keys are retained: membership and class lookups discriminate on
 	// (hash, length), which separates distinct computations up to the
-	// ~2^-128 collision assumption (see trace.Hash128 and
-	// WithHashVerify). New builds it eagerly (it doubles as the dedup
-	// pass); newSorted universes build it lazily under hashOnce on first
-	// IndexOf, so enumeration and snapshot loads never pay for an index
-	// the workload may not probe.
+	// ~2^-128 collision assumption (see trace.Hash128). Enumeration
+	// checks the part of it this index leans on: two members of one
+	// length with equal hashes fail the run with ErrHashCollision, and
+	// snapshot loads reject them as out of order. New builds it eagerly
+	// (it doubles as the dedup pass); newSorted universes build it
+	// lazily under hashOnce on first IndexOf, so enumeration and
+	// snapshot loads never pay for an index the workload may not probe.
 	byHash   map[trace.Hash128]int32
 	hashOnce sync.Once
 	all      trace.ProcSet

@@ -257,6 +257,26 @@ func TestSpecFaults(t *testing.T) {
 	if _, err := reliable.Parse(`"anyCrashed"`); err == nil {
 		t.Errorf("reliable spec vocabulary should not include fault atoms")
 	}
+
+	// Over three processes p's one send may go to q or r, so the wrap
+	// offers two drops of it that are one event: the spec still builds,
+	// full and quotient, with the drop a single member.
+	drop := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 1, MaxEvents: 4, Faults: "drop:1"}
+	dropped, err := hpl.CheckSpec(drop, hpl.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := hpl.NewBuilder().Internal("p", "fault:drop:m").MustBuild(); !dropped.Universe().Contains(ev) {
+		t.Errorf("three-process drop universe lacks %s", ev.Key())
+	}
+	drop.Symmetry = "full"
+	quo, err := hpl.CheckSpec(drop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := quo.Universe().FullSize(), int64(dropped.Universe().Len()); got != want {
+		t.Errorf("three-process drop quotient: orbit sizes sum to %d, full universe has %d", got, want)
+	}
 }
 
 // TestSpecJSONRoundTrip guards the wire format: a spec survives
