@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hpl"
 	"hpl/internal/causality"
 	"hpl/internal/experiments"
 	"hpl/internal/failure"
@@ -801,6 +802,42 @@ func BenchmarkAblationTemporalEval(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAblationAtomFold prices the spec vocabulary's atoms over the
+// reference universe (free p,q,r, two sends, six events; 107,593
+// members), each in a fresh evaluator. "fold" is the evaluator's path
+// for the stock atoms, which are history counts: one fold down the
+// prefix index per atom. "walk" hides each atom behind NewPredicate, so
+// the evaluator samples Holds at every member over its worker pool,
+// walking the member's event chain.
+func BenchmarkAblationAtomFold(b *testing.B) {
+	spec := hpl.UniverseSpec{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2, MaxEvents: 6}
+	ck, err := hpl.CheckSpec(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := ck.Universe()
+	fold := spec.Predicates()
+	walk := make([]knowledge.Predicate, len(fold))
+	for i, p := range fold {
+		walk[i] = knowledge.NewPredicate(p.Name(), p.Holds)
+	}
+	for _, arm := range []struct {
+		name  string
+		preds []knowledge.Predicate
+	}{{"fold", fold}, {"walk", walk}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ev := knowledge.NewEvaluator(u)
+				for _, p := range arm.preds {
+					ev.Valid(knowledge.NewAtom(p))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(arm.preds)), "us/atom")
+		})
+	}
 }
 
 func BenchmarkKnowledgeLadder(b *testing.B) { benchTable(b, experiments.KnowledgeLadder) }

@@ -5,7 +5,6 @@ import (
 
 	"hpl/internal/knowledge"
 	"hpl/internal/logic"
-	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
 
@@ -200,7 +199,7 @@ type TemporalReport struct {
 // supports reachability (EF), inevitability (AF/AU) and past-looking
 // (Once/Hist) queries that validity alone cannot express.
 func (c *Checker) CheckTemporal(f Formula) TemporalReport {
-	rep := TemporalReport{Report: c.Check(f), Init: c.u.IndexOf(trace.Empty())}
+	rep := TemporalReport{Report: c.Check(f), Init: c.u.Initial()}
 	if rep.Init >= 0 {
 		rep.AtInit = c.ev.HoldsAt(f, rep.Init)
 	}

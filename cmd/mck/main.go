@@ -21,13 +21,13 @@
 // workers, -timeout aborts enumeration cleanly, and -progress reports
 // engine snapshots on stderr. -trace prints a per-phase time breakdown
 // of the build and evaluation (frontier expansion, canonicalization,
-// partition and transition construction, symmetry filtering) on stderr
-// after the verdict. -temporal switches to model-checking
-// semantics: the formula — which may use the CTL operators EX, AX, EF,
-// AF, EG, AG, E[· U ·], A[· U ·] and the past operators EY, AY, Once,
-// Hist — is decided at the initial (null) computation over the
-// prefix-extension transition graph, and the exit status reports the
-// verdict.
+// partition and transition construction, symmetry filtering, atom
+// evaluation) on stderr after the verdict. -temporal switches to
+// model-checking semantics: the formula — which may use the CTL
+// operators EX, AX, EF, AF, EG, AG, E[· U ·], A[· U ·] and the past
+// operators EY, AY, Once, Hist — is decided at the initial (null)
+// computation over the prefix-extension transition graph, and the
+// exit status reports the verdict.
 //
 // -server switches mck into thin-client mode: instead of enumerating
 // locally, the query is forwarded to a running hpld daemon, which keeps

@@ -13,9 +13,11 @@ import (
 
 // Evaluator evaluates epistemic formulas over a universe set-at-a-time.
 // Every distinct subformula is evaluated exactly once, bottom-up, into
-// a bitset truth vector over all members: atoms fan out over a worker
-// pool, boolean connectives are word-parallel operations, (P knows F)
-// is one all-reduce per class of the [P]-partition table, and common
+// a bitset truth vector over all members. An atom that is a history
+// count (every stock predicate) is one fold down the universe's prefix
+// index, and an opaque one fans out over a worker pool. Boolean
+// connectives are word-parallel operations, (P knows F) is one
+// all-reduce per class of the [P]-partition table, and common
 // knowledge is a fixpoint iterated directly over the singleton
 // partitions. Temporal operators (EX/EF/AG/EU/… and their past duals)
 // are single sweeps over the universe's prefix-extension transition
@@ -29,8 +31,9 @@ import (
 // internal lock, and the partition tables they share are built
 // goroutine-safely by the universe. The per-member evaluation paths
 // are kept as ablation baselines — see MemberEvaluator and EvalNaive,
-// and the benchmarks BenchmarkAblationVectorizedEval and
-// BenchmarkAblationKnowledgeMemo at the repository root.
+// and the benchmarks BenchmarkAblationVectorizedEval,
+// BenchmarkAblationKnowledgeMemo and BenchmarkAblationAtomFold at the
+// repository root.
 type Evaluator struct {
 	u *universe.Universe
 
@@ -213,9 +216,12 @@ func (e *Evaluator) vector(id int32) bitset {
 	return v
 }
 
-// atomVector evaluates a predicate at every member, fanning out over a
-// worker pool. Chunk boundaries are multiples of 64 so each worker owns
-// whole words of the shared bitset.
+// atomVector evaluates a predicate at every member and records the time
+// as an eval.atom phase in the universe's trace. A history count is one
+// fold down the prefix index (universe.HistorySums) and one test per
+// member. An opaque predicate is sampled at every member over a worker
+// pool; chunk boundaries are multiples of 64 so each worker owns whole
+// words of the shared bitset.
 func (e *Evaluator) atomVector(p Predicate) bitset {
 	// Backstop for the non-error-returning query paths: an asymmetric
 	// predicate sampled at orbit representatives would yield orbit-
@@ -227,8 +233,17 @@ func (e *Evaluator) atomVector(p Predicate) bitset {
 			Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
 		})
 	}
+	defer e.u.Trace().Start("eval.atom").End()
 	n := e.u.Len()
 	v := newBitset(n)
+	if c := p.count; c != nil {
+		for j, sum := range e.u.HistorySums(c.weight) {
+			if c.test(sum) {
+				v.set(j)
+			}
+		}
+		return v
+	}
 	const minChunk = 2048
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || n < 2*minChunk {

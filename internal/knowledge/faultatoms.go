@@ -14,26 +14,16 @@ import (
 // Crashed holds when p has crash-stopped (performed the fault-injected
 // crash event).
 func Crashed(p trace.ProcID) Predicate {
-	return NewPredicate(fmt.Sprintf("crashed(%s)", p), func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindInternal && e.Proc == p && e.Tag == faults.TagCrash {
-				return true
-			}
-		}
-		return false
+	return ever(fmt.Sprintf("crashed(%s)", p), func(e trace.Event) bool {
+		return e.Kind == trace.KindInternal && e.Proc == p && e.Tag == faults.TagCrash
 	}).FixedOn(p)
 }
 
 // AnyCrashed holds when some process has crash-stopped; the
 // renaming-invariant closure of Crashed.
 func AnyCrashed() Predicate {
-	return NewPredicate("anyCrashed", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindInternal && e.Tag == faults.TagCrash {
-				return true
-			}
-		}
-		return false
+	return ever("anyCrashed", func(e trace.Event) bool {
+		return e.Kind == trace.KindInternal && e.Tag == faults.TagCrash
 	}).Symmetric()
 }
 
@@ -41,13 +31,8 @@ func AnyCrashed() Predicate {
 // (a fault-injected drop event on any sender).
 func Dropped(tag string) Predicate {
 	want := faults.DropTag(tag)
-	return NewPredicate("dropped("+tag+")", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindInternal && e.Tag == want {
-				return true
-			}
-		}
-		return false
+	return ever("dropped("+tag+")", func(e trace.Event) bool {
+		return e.Kind == trace.KindInternal && e.Tag == want
 	}).Symmetric()
 }
 
@@ -55,12 +40,7 @@ func Dropped(tag string) Predicate {
 // (a fault-injected retransmission send by any process).
 func Duplicated(tag string) Predicate {
 	want := faults.DupTag(tag)
-	return NewPredicate("duplicated("+tag+")", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindSend && e.Tag == want {
-				return true
-			}
-		}
-		return false
+	return ever("duplicated("+tag+")", func(e trace.Event) bool {
+		return e.Kind == trace.KindSend && e.Tag == want
 	}).Symmetric()
 }

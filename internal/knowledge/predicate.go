@@ -13,7 +13,19 @@ import (
 // only on per-process projections, never on the interleaving of
 // independent events. CheckWellFormed verifies this over a universe.
 //
-// Names must uniquely identify semantics: the evaluator memoizes by name.
+// A predicate is either an opaque function of the computation
+// (NewPredicate) or a history count: a weight per event and a test on
+// the weights' sum over the computation's events. In the paper a
+// computation is its prefix plus one event, so a count at (x;e) is the
+// count at x plus the weight of e, and the evaluator computes a count's
+// truth vector in one fold down the universe's prefix index (see
+// universe.HistorySums) instead of walking every member's events. Every
+// stock predicate is a history count; Holds derives its value at a
+// single computation from the same weight and test.
+//
+// Names must uniquely identify semantics: the evaluator memoizes atoms
+// by name, so a name must spell out every parameter the value depends
+// on, or two different predicates share one truth vector.
 //
 // Symmetry metadata: evaluating over a symmetry quotient (see
 // universe.WithSymmetry) requires every predicate to be invariant under
@@ -27,11 +39,50 @@ import (
 type Predicate struct {
 	name string
 	fn   func(*trace.Computation) bool
+	// count is the predicate as a history count; nil for opaque
+	// predicates, which the evaluator samples member by member.
+	count *historyCount
 	// symKind records the declared renaming behaviour; support lists the
 	// processes a symFixed predicate depends on.
 	symKind uint8
 	support []trace.ProcID
 }
+
+// historyCount is a predicate on the sum of a per-event weight over a
+// computation's history.
+type historyCount struct {
+	weight func(trace.Event) int32
+	test   func(sum int32) bool
+}
+
+// holds tests the weights' sum over c's events.
+func (h *historyCount) holds(c *trace.Computation) bool {
+	var sum int32
+	for e := range c.Backward() {
+		sum += h.weight(e)
+	}
+	return h.test(sum)
+}
+
+// countPredicate builds the history-count predicate test(Σ weight).
+func countPredicate(name string, weight func(trace.Event) int32, test func(sum int32) bool) Predicate {
+	h := &historyCount{weight, test}
+	return Predicate{name: name, fn: h.holds, count: h}
+}
+
+// ever is the history count "some event matches".
+func ever(name string, match func(trace.Event) bool) Predicate {
+	return countPredicate(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
+}
+
+func indicator(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func positive(sum int32) bool { return sum > 0 }
 
 const (
 	symUnknown uint8 = iota // no declaration: rejected on quotients
@@ -105,71 +156,61 @@ func CheckWellFormed(u *universe.Universe, b Predicate) error {
 
 // SentTag holds when p has sent at least one message tagged tag.
 func SentTag(p trace.ProcID, tag string) Predicate {
-	return NewPredicate(fmt.Sprintf("sent(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindSend && e.Proc == p && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever(fmt.Sprintf("sent(%s,%s)", p, tag), func(e trace.Event) bool {
+		return e.Kind == trace.KindSend && e.Proc == p && e.Tag == tag
 	}).FixedOn(p)
 }
 
 // ReceivedTag holds when p has received at least one message tagged tag.
 func ReceivedTag(p trace.ProcID, tag string) Predicate {
-	return NewPredicate(fmt.Sprintf("received(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindReceive && e.Proc == p && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever(fmt.Sprintf("received(%s,%s)", p, tag), func(e trace.Event) bool {
+		return e.Kind == trace.KindReceive && e.Proc == p && e.Tag == tag
 	}).FixedOn(p)
 }
 
 // DidInternal holds when p has performed an internal event tagged tag.
 func DidInternal(p trace.ProcID, tag string) Predicate {
-	return NewPredicate(fmt.Sprintf("internal(%s,%s)", p, tag), func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindInternal && e.Proc == p && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever(fmt.Sprintf("internal(%s,%s)", p, tag), func(e trace.Event) bool {
+		return e.Kind == trace.KindInternal && e.Proc == p && e.Tag == tag
 	}).FixedOn(p)
 }
 
 // EventCountAtLeast holds when the members of P have performed at least n
 // events in total.
 func EventCountAtLeast(p trace.ProcSet, n int) Predicate {
-	return NewPredicate(fmt.Sprintf("count(%s)>=%s", p.Key(), strconv.Itoa(n)), func(c *trace.Computation) bool {
-		return len(c.Projection(p)) >= n
-	}).FixedOn(p.IDs()...)
+	return countPredicate(fmt.Sprintf("count(%s)>=%s", p.Key(), strconv.Itoa(n)),
+		func(e trace.Event) int32 { return indicator(p.Contains(e.Proc)) },
+		func(sum int32) bool { return int(sum) >= n },
+	).FixedOn(p.IDs()...)
 }
 
 // TokenAt holds when p currently holds the token in a token-passing
 // system: p is the initial holder and has sent the token as many times as
 // it received it, or p has received it one more time than it sent it.
-// Token transfers are identified by the given tag.
+// Token transfers are identified by the given tag. The count is p's
+// receipts minus its sends of the token.
 func TokenAt(p trace.ProcID, initialHolder trace.ProcID, tag string) Predicate {
-	return NewPredicate(fmt.Sprintf("token@%s", p), func(c *trace.Computation) bool {
-		recv, sent := 0, 0
-		for e := range c.Backward() {
+	want := indicator(p != initialHolder)
+	return countPredicate(fmt.Sprintf("token@%s(%s,%s)", p, initialHolder, tag),
+		func(e trace.Event) int32 {
 			if e.Proc != p || e.Tag != tag {
-				continue
+				return 0
 			}
-			switch e.Kind {
-			case trace.KindReceive:
-				recv++
-			case trace.KindSend:
-				sent++
-			}
-		}
-		if p == initialHolder {
-			return recv == sent
-		}
-		return recv == sent+1
-	}).FixedOn(p)
+			return transfer(e.Kind)
+		},
+		func(sum int32) bool { return sum == want },
+	).FixedOn(p)
+}
+
+// transfer weighs a receive +1 and a send -1.
+func transfer(k trace.Kind) int32 {
+	switch k {
+	case trace.KindReceive:
+		return 1
+	case trace.KindSend:
+		return -1
+	}
+	return 0
 }
 
 // NoMessagesInFlight holds when every sent message has been received.
@@ -178,18 +219,10 @@ func TokenAt(p trace.ProcID, initialHolder trace.ProcID, tag string) Predicate {
 // receives each message at most once and only after its send, so no
 // message is in flight exactly when sends and receives are equally many.
 func NoMessagesInFlight() Predicate {
-	return NewPredicate("quiescent", func(c *trace.Computation) bool {
-		inFlight := 0
-		for e := range c.Backward() {
-			switch e.Kind {
-			case trace.KindSend:
-				inFlight++
-			case trace.KindReceive:
-				inFlight--
-			}
-		}
-		return inFlight == 0
-	}).Symmetric()
+	return countPredicate("quiescent",
+		func(e trace.Event) int32 { return transfer(e.Kind) },
+		func(sum int32) bool { return sum == 0 },
+	).Symmetric()
 }
 
 // Constant returns the constant predicate with the given value.
@@ -202,38 +235,23 @@ func Constant(v bool) Predicate {
 // SentTag, is invariant under every renaming — the natural way to phrase
 // send-observations on a symmetry quotient.
 func AnySentTag(tag string) Predicate {
-	return NewPredicate("anySent("+tag+")", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindSend && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever("anySent("+tag+")", func(e trace.Event) bool {
+		return e.Kind == trace.KindSend && e.Tag == tag
 	}).Symmetric()
 }
 
 // AnyReceivedTag holds when some process has received a message tagged
 // tag; the renaming-invariant closure of ReceivedTag.
 func AnyReceivedTag(tag string) Predicate {
-	return NewPredicate("anyReceived("+tag+")", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindReceive && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever("anyReceived("+tag+")", func(e trace.Event) bool {
+		return e.Kind == trace.KindReceive && e.Tag == tag
 	}).Symmetric()
 }
 
 // AnyDidInternal holds when some process has performed an internal
 // event tagged tag; the renaming-invariant closure of DidInternal.
 func AnyDidInternal(tag string) Predicate {
-	return NewPredicate("anyInternal("+tag+")", func(c *trace.Computation) bool {
-		for e := range c.Backward() {
-			if e.Kind == trace.KindInternal && e.Tag == tag {
-				return true
-			}
-		}
-		return false
+	return ever("anyInternal("+tag+")", func(e trace.Event) bool {
+		return e.Kind == trace.KindInternal && e.Tag == tag
 	}).Symmetric()
 }

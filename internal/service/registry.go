@@ -670,9 +670,9 @@ func EstimateStructureBytes(u *hpl.Universe) int64 {
 	// perMember covers the prefix-tree node and member-slice slot,
 	// perEvent the interned event and hash state. perHashSlot charges the
 	// member-hash index (a map[Hash128]int32 bucket entry): the universe
-	// builds it lazily on the first IndexOf, but every query session
-	// triggers that within its first Holds call, so a hot entry always
-	// carries it and the cache must account for it up front.
+	// builds it lazily on the first IndexOf, which any Holds or Contains
+	// query on the session triggers, and the cache charges it up front
+	// so an entry's charge does not depend on the queries it has seen.
 	const perMember, perHashSlot, perEvent = 96, 40, 48
 	b := int64(n)*(perMember+perHashSlot) + events*perEvent
 	if u.IsQuotient() {

@@ -196,8 +196,11 @@ func (c *Computation) At(i int) Event { return c.evs()[i] }
 
 // Backward yields the events of c from the last to the first. It walks
 // the prefix tree, so unlike At and Events it materializes no event
-// slice: order-insensitive scans of many computations (predicate atoms
-// over a whole universe) allocate nothing per computation.
+// slice: an order-insensitive scan of one computation, such as a
+// history-count predicate's Holds, allocates nothing. Scans of every
+// member of a universe fold its prefix index instead, which visits each
+// event once per universe rather than once per member that contains it
+// (see universe.HistorySums).
 func (c *Computation) Backward() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
 		for a := c; a.parent != nil; a = a.parent {

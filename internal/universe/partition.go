@@ -344,10 +344,7 @@ func (b *historyTrie) memberTuples(procs []trace.ProcID) ([]int32, *tupleTable) 
 	root := tuples.intern(scratch)
 	tuple := make([]int32, len(x.parent))
 	for k := range x.parent {
-		j := int32(k)
-		if x.order != nil {
-			j = x.order[k]
-		}
+		j := x.nth(k)
 		par, e := x.parent[j], x.event[j]
 		switch {
 		case e < 0:

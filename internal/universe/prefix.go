@@ -98,6 +98,42 @@ func newPrefixIndex(u *Universe, parents []int32) *prefixIndex {
 	return x
 }
 
+// nth returns the k-th member in parent-first order.
+func (x *prefixIndex) nth(k int) int32 {
+	if x.order != nil {
+		return x.order[k]
+	}
+	return int32(k)
+}
+
+// HistorySums folds a per-event weight over every member's history:
+// sums[j] is the total weight of the events of member j. weight is
+// called once per interned event, not once per event occurrence; each
+// member then costs one addition, sum[j] = sum[parent[j]] + w[event[j]],
+// visited parent first. A member whose prefix is not a member sums its
+// own event chain. This is how the knowledge package evaluates every
+// atom that is a count over a computation's events.
+func (u *Universe) HistorySums(weight func(trace.Event) int32) []int32 {
+	x := u.prefixIndex()
+	w := make([]int32, len(x.events))
+	for id := range x.events {
+		w[id] = weight(x.events[id])
+	}
+	sums := make([]int32, len(x.parent))
+	for k := range sums {
+		j := x.nth(k)
+		switch par, e := x.parent[j], x.event[j]; {
+		case par >= 0:
+			sums[j] = sums[par] + w[e]
+		case e >= 0:
+			for _, ce := range x.chain[j] {
+				sums[j] += w[ce]
+			}
+		}
+	}
+	return sums
+}
+
 // probeTable maps hashes to dense identifiers 0, 1, … by linear
 // probing; the caller keeps the entries and decides equality. It backs
 // the event tables and a partition build's tuple table, whose keys Go

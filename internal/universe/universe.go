@@ -13,7 +13,11 @@
 // trie, so no projection is ever spelled out as a string. Tables are
 // built on first use and are safe to share between concurrent
 // evaluators. The ablation benchmarks BenchmarkAblationProjectionIndex
-// and BenchmarkAblationPartitionTable measure what that buys.
+// and BenchmarkAblationPartitionTable measure what that buys. The same
+// index is the transition graph's edge list (see Transitions), and
+// HistorySums folds per-event weights down it, which is how atoms that
+// count a computation's events are evaluated at every member in one
+// pass (BenchmarkAblationAtomFold).
 package universe
 
 import (
@@ -165,6 +169,24 @@ func (u *Universe) IndexOf(c *trace.Computation) int {
 	}
 	return -1
 }
+
+// Initial returns the member index of the null computation, or -1 when
+// it is not a member. Canonically ordered universes (enumerated,
+// extended or snapshot-loaded) sort by length first, so theirs is
+// member 0 and no hash index is built; New universes look it up.
+func (u *Universe) Initial() int {
+	if !u.sorted {
+		return u.IndexOf(trace.Empty())
+	}
+	if len(u.comps) > 0 && u.comps[0].Len() == 0 {
+		return 0
+	}
+	return -1
+}
+
+// Trace returns the trace attached by WithTrace, or nil. Evaluation
+// over the universe records its phases there, next to the build's.
+func (u *Universe) Trace() *obs.Trace { return u.tr }
 
 // Contains reports membership by sequence identity.
 func (u *Universe) Contains(c *trace.Computation) bool { return u.IndexOf(c) >= 0 }
