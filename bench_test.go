@@ -840,6 +840,57 @@ func BenchmarkAblationAtomFold(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationCountWeighted prices the orbit-weighted holding
+// count over the 17,933-member quotient of free p,q,r (two sends, six
+// events) under S3, for formulas whose truth vectors are already
+// memoized. "member" is the per-member loop: every member whose bit is
+// set adds its OrbitSize. "classes" is Evaluator.CountWeighted: one
+// masked popcount of the vector per weight class, four under S3.
+func BenchmarkAblationCountWeighted(b *testing.B) {
+	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
+	u, err := universe.EnumerateWith(universe.NewFree(cfg),
+		universe.WithMaxEvents(6), universe.WithSymmetry(universe.InferSymmetry(universe.NewFree(cfg))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if u.Len() != 17933 {
+		b.Fatalf("reference quotient has %d members, want 17,933", u.Len())
+	}
+	anySent := knowledge.NewAtom(knowledge.AnySentTag("m"))
+	fs := []knowledge.Formula{
+		anySent,
+		knowledge.Knows(u.All(), anySent),
+		knowledge.Implies(knowledge.NewAtom(knowledge.AnyReceivedTag("m")), knowledge.Once(anySent)),
+	}
+	ev := knowledge.NewEvaluator(u)
+	truth := make([][]bool, len(fs))
+	for k, f := range fs {
+		truth[k] = ev.TruthVector(f)
+	}
+	var sink int64
+	b.Run("member", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, tv := range truth {
+				for j, holds := range tv {
+					if holds {
+						sink += u.OrbitSize(j)
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(fs)), "us/count")
+	})
+	b.Run("classes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, f := range fs {
+				sink += ev.CountWeighted(f)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(fs)), "us/count")
+	})
+	_ = sink
+}
+
 func BenchmarkKnowledgeLadder(b *testing.B) { benchTable(b, experiments.KnowledgeLadder) }
 
 func BenchmarkLargeBoundTheorems(b *testing.B) { benchTable(b, experiments.LargeBound) }

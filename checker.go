@@ -145,8 +145,10 @@ type Report struct {
 	// FullTotal and FullHolding are Total and Holding re-expressed over
 	// the full (unquotiented) universe: on a symmetry quotient each
 	// member is weighted by its orbit size, so the counts compare
-	// directly with a full-universe run; on a full universe they simply
-	// repeat Total and Holding.
+	// directly with a full-universe run. FullHolding is summed per
+	// weight class, one masked popcount of the truth vector per
+	// distinct orbit size (see Evaluator.CountWeighted). On a full
+	// universe they simply repeat Total and Holding.
 	FullTotal   int64
 	FullHolding int64
 }
@@ -160,15 +162,15 @@ func (r Report) Valid() bool { return r.FirstFailure < 0 }
 // f must be invariant under the quotient's group (the evaluation core
 // panics with an *AsymmetryError otherwise — see ValidateSymmetric).
 func (c *Checker) Check(f Formula) Report {
-	holding, firstFailure := c.ev.Summary(f)
-	rep := Report{Formula: f, Total: c.u.Len(), Holding: holding, FirstFailure: firstFailure}
-	rep.FullTotal = c.u.FullSize()
-	if c.u.IsQuotient() {
-		rep.FullHolding = c.ev.CountWeighted(f)
-	} else {
-		rep.FullHolding = int64(holding)
+	holding, firstFailure, fullHolding := c.ev.WeightedSummary(f)
+	return Report{
+		Formula:      f,
+		Total:        c.u.Len(),
+		Holding:      holding,
+		FirstFailure: firstFailure,
+		FullTotal:    c.u.FullSize(),
+		FullHolding:  fullHolding,
 	}
-	return rep
 }
 
 // TruthVector returns f's truth value at every member, in member order.

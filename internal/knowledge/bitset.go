@@ -76,6 +76,16 @@ func (v bitset) count() int {
 	return n
 }
 
+// countAnd reports how many bits v and o have on in common, without
+// materializing v ∧ o.
+func (v bitset) countAnd(o bitset) int {
+	n := 0
+	for w, x := range v {
+		n += bits.OnesCount64(x & o[w])
+	}
+	return n
+}
+
 // allSet reports whether every one of the first n bits is on.
 func (v bitset) allSet(n int) bool {
 	full := n >> 6

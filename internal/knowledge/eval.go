@@ -112,18 +112,41 @@ func (e *Evaluator) Summary(f Formula) (holding, firstFailure int) {
 }
 
 // CountWeighted reports at how many members of the FULL universe f
-// holds: on a symmetry quotient each member counts with its orbit size
+// holds. On a symmetry quotient each member counts with its orbit size
 // (a G-invariant formula holds at a representative exactly when it
-// holds across its whole orbit), on a full universe it equals
-// Summary's holding count. This is what makes quotient counts
-// comparable with full-universe counts.
+// holds across its whole orbit), summed as one masked popcount of f's
+// truth vector per weight class (universe.WeightClasses), so the cost
+// is a handful of word passes however many members the quotient has.
+// On a full universe it equals Summary's holding count. This is what
+// makes quotient counts comparable with full-universe counts.
 func (e *Evaluator) CountWeighted(f Formula) int64 {
+	return e.weigh(e.vectorOf(f))
+}
+
+// WeightedSummary is Summary and CountWeighted from one memo lookup:
+// how many members f holds at, the first member it fails at (-1 when
+// valid), and how many members of the full universe it holds at.
+func (e *Evaluator) WeightedSummary(f Formula) (holding, firstFailure int, weighted int64) {
 	v := e.vectorOf(f)
+	holding = v.count()
+	if e.u.IsQuotient() {
+		weighted = e.weigh(v)
+	} else {
+		weighted = int64(holding)
+	}
+	return holding, v.firstClear(e.u.Len()), weighted
+}
+
+// weigh counts the members of the full universe that truth vector v
+// stands for: Σ size·|v ∧ class| over the quotient's weight classes,
+// or v's population on a full universe.
+func (e *Evaluator) weigh(v bitset) int64 {
+	if !e.u.IsQuotient() {
+		return int64(v.count())
+	}
 	var n int64
-	for i := 0; i < e.u.Len(); i++ {
-		if v.get(i) {
-			n += e.u.OrbitSize(i)
-		}
+	for _, c := range e.u.WeightClasses() {
+		n += c.Size * int64(v.countAnd(c.Members))
 	}
 	return n
 }

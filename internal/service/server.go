@@ -491,10 +491,9 @@ func (s *Server) handleUniverseStats(w http.ResponseWriter, r *http.Request) {
 	if u := e.Checker.Universe(); u.IsQuotient() {
 		resp.Symmetry = u.Symmetry().Key()
 		resp.FullMembers = u.FullSize()
-		for i := 0; i < u.Len(); i++ {
-			if s := u.OrbitSize(i); s > resp.MaxOrbit {
-				resp.MaxOrbit = s
-			}
+		// Weight classes are non-empty and sorted by orbit size.
+		if wc := u.WeightClasses(); len(wc) > 0 {
+			resp.MaxOrbit = wc[len(wc)-1].Size
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -106,16 +106,13 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 	u.states = e.states
 	u.memberSV = svs
 	if orbs != nil {
-		// Quotient bookkeeping: each member's orbit size, and the full
-		// universe's cardinality as their sum — the exact count a
-		// from-scratch run without the group would have produced.
-		var full int64
-		for _, o := range orbs {
-			full += o
+		// Quotient bookkeeping: each member's orbit size, its weight
+		// class, and the full universe's cardinality as their sum — the
+		// exact count a from-scratch run without the group would have
+		// produced.
+		if err := u.setOrbits(e.cfg.sym, orbs); err != nil {
+			return nil, err
 		}
-		u.sym = e.cfg.sym
-		u.orbitSize = orbs
-		u.fullSize = full
 	}
 	return u, nil
 }

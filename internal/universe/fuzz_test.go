@@ -2,6 +2,7 @@ package universe_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"hpl/internal/universe"
@@ -11,9 +12,10 @@ import (
 // whatever the bytes, ReadSnapshot must return an error or a universe —
 // never panic, never hang, never hand back a structure whose basic
 // invariants are broken. The corpus is seeded with a full well-formed
-// snapshot (every section present) plus truncations and small
-// corruptions of it, so the fuzzer starts at the interesting frontier
-// of almost-valid inputs instead of random noise.
+// snapshot (every section present), truncations and small corruptions
+// of it, and a quotient snapshot with and without impossible orbit
+// sizes, so the fuzzer starts at the interesting frontier of
+// almost-valid inputs instead of random noise.
 func FuzzReadSnapshot(f *testing.F) {
 	golden := goldenBytes(f)
 	f.Add(golden)
@@ -27,6 +29,12 @@ func FuzzReadSnapshot(f *testing.F) {
 		mut[flip] ^= 0xff
 		f.Add(mut)
 	}
+	// Checksum-valid quotients whose orbit sizes are impossible: sizes
+	// that do not divide |S3|, and sizes whose sum wraps an int64.
+	orbits, members := orbitSnapshot(f)
+	f.Add(orbits)
+	f.Add(withOrbitSizes(orbits, members, 7, 7))
+	f.Add(withOrbitSizes(orbits, members, math.MaxInt64, math.MaxInt64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, digest, err := universe.ReadSnapshot(bytes.NewReader(data))

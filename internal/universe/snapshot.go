@@ -56,9 +56,12 @@ import (
 //	           ClassOfKey.
 //	symmetry — version 2 (symmetry quotients) only: the group's class
 //	           count, then per class its size and proc string refs,
-//	           then one orbit size per member. Quotients always write
-//	           zero partition tables (their overlapping twisted class
-//	           listings are rebuilt on demand instead).
+//	           then one orbit size per member. The loader rejects any
+//	           size that does not divide the group's order (orbit–
+//	           stabilizer) and any sum that overflows, then regroups
+//	           the sizes into the universe's weight classes. Quotients
+//	           always write zero partition tables (their overlapping
+//	           twisted class listings are rebuilt on demand instead).
 var (
 	// ErrSnapshotFormat reports input that is not a universe snapshot.
 	ErrSnapshotFormat = errors.New("universe: not a universe snapshot")
@@ -447,13 +450,9 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 			case sym.Trivial():
 				sr.fail("symmetry section declares a trivial group")
 			default:
-				var full int64
-				for _, o := range orbs {
-					full += o
+				if err := u.setOrbits(sym, orbs); err != nil {
+					sr.fail("symmetry section: %v", err)
 				}
-				u.sym = sym
-				u.orbitSize = orbs
-				u.fullSize = full
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package universe_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"math"
 	"strings"
 	"testing"
 
@@ -209,9 +212,10 @@ func TestQuotientIsOrbitTransversal(t *testing.T) {
 			if quo.FullSize() != int64(full.Len()) {
 				t.Fatalf("FullSize %d, full universe has %d", quo.FullSize(), full.Len())
 			}
-			if full.FullSize() != int64(full.Len()) || full.OrbitSize(0) != 1 || full.IsQuotient() {
+			if full.FullSize() != int64(full.Len()) || full.OrbitSize(0) != 1 || full.IsQuotient() || full.WeightClasses() != nil {
 				t.Fatal("full universes must report trivial orbit bookkeeping")
 			}
+			requireWeightClasses(t, quo)
 		})
 	}
 }
@@ -235,6 +239,7 @@ func TestQuotientDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdenticalUniverses(t, "quotient", got, want)
+		requireWeightClasses(t, got)
 		for i := 0; i < got.Len(); i++ {
 			if got.OrbitSize(i) != want.OrbitSize(i) {
 				t.Fatalf("workers=%d: member %d orbit size %d vs %d", workers, i, got.OrbitSize(i), want.OrbitSize(i))
@@ -262,6 +267,7 @@ func TestQuotientExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalUniverses(t, "extended quotient", got, want)
+	requireWeightClasses(t, got)
 	if got.FullSize() != want.FullSize() {
 		t.Fatalf("FullSize %d vs %d", got.FullSize(), want.FullSize())
 	}
@@ -341,6 +347,7 @@ func TestQuotientSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	requireIdenticalUniverses(t, "quotient snapshot", got, u)
+	requireWeightClasses(t, got)
 
 	got.BindProtocol(proto)
 	ext, err := universe.Extend(got, universe.WithMaxEvents(5))
@@ -367,6 +374,107 @@ func TestQuotientSnapshotRoundTrip(t *testing.T) {
 		if _, _, err := universe.ReadSnapshot(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("corruption at %d must fail", pos)
 		}
+	}
+}
+
+// requireWeightClasses checks a quotient's weight classes against its
+// orbit sizes: non-empty bitsets in strictly increasing size that
+// partition the members, each member in the class of its own size.
+func requireWeightClasses(t *testing.T, u *universe.Universe) {
+	t.Helper()
+	classes := u.WeightClasses()
+	if len(classes) == 0 {
+		t.Fatal("quotient has no weight classes")
+	}
+	seen := 0
+	for k, c := range classes {
+		if k > 0 && c.Size <= classes[k-1].Size {
+			t.Fatalf("class %d size %d not above class %d size %d", k, c.Size, k-1, classes[k-1].Size)
+		}
+		if len(c.Members) != (u.Len()+63)/64 {
+			t.Fatalf("class %d has %d words for %d members", k, len(c.Members), u.Len())
+		}
+		n := 0
+		for i := 0; i < len(c.Members)*64; i++ {
+			if c.Members[i>>6]&(1<<(uint(i)&63)) == 0 {
+				continue
+			}
+			if i >= u.Len() || u.OrbitSize(i) != c.Size {
+				t.Fatalf("member %d is in the size-%d class", i, c.Size)
+			}
+			n++
+		}
+		if n == 0 {
+			t.Fatalf("class %d (size %d) is empty", k, c.Size)
+		}
+		seen += n
+	}
+	if seen != u.Len() {
+		t.Fatalf("weight classes hold %d of %d members", seen, u.Len())
+	}
+}
+
+// orbitSnapshot writes the p,q,r free quotient (one send each, four
+// events) under the full group S3 and returns the bytes and the member
+// count.
+func orbitSnapshot(t testing.TB) ([]byte, int) {
+	t.Helper()
+	proto := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
+	u, err := universe.EnumerateWith(proto, universe.WithMaxEvents(4), universe.WithSymmetry(universe.InferSymmetry(proto)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := universe.WriteSnapshot(&buf, u, "orbit-digest"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), u.Len()
+}
+
+// withOrbitSizes re-frames a quotient snapshot of the given member
+// count with the orbit sizes of its first members replaced by sizes.
+// The sizes are the payload's last section, one uvarint per member, and
+// every size under S3 is a single byte; the payload length and the
+// checksum are recomputed so only the sizes are wrong.
+func withOrbitSizes(snap []byte, members int, sizes ...uint64) []byte {
+	const header = 6 + 1 + 8 // magic, version, payload length
+	payload := snap[header : len(snap)-8]
+	body := bytes.Clone(payload[:len(payload)-members])
+	for i, b := range payload[len(payload)-members:] {
+		o := uint64(b)
+		if i < len(sizes) {
+			o = sizes[i]
+		}
+		body = binary.AppendUvarint(body, o)
+	}
+	out := binary.LittleEndian.AppendUint64(bytes.Clone(snap[:header-8]), uint64(len(body)))
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint64(out, crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+}
+
+// TestSnapshotRejectsImpossibleOrbitSizes: an orbit's size is |G| over
+// its stabilizer's, so a loaded size must divide the group's order, and
+// the sizes' sum must not wrap. A checksum-valid file that breaks
+// either is corrupt, not a quotient with a wrong FullSize.
+func TestSnapshotRejectsImpossibleOrbitSizes(t *testing.T) {
+	raw, members := orbitSnapshot(t)
+	if _, _, err := universe.ReadSnapshot(bytes.NewReader(withOrbitSizes(raw, members))); err != nil {
+		t.Fatalf("re-framed snapshot with its own sizes must load: %v", err)
+	}
+	for name, sizes := range map[string][]uint64{
+		"not_a_divisor": {7, 7},
+		"overflowing":   {math.MaxInt64, math.MaxInt64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			u, _, err := universe.ReadSnapshot(bytes.NewReader(withOrbitSizes(raw, members, sizes...)))
+			if !errors.Is(err, universe.ErrSnapshotCorrupt) {
+				full := int64(-1)
+				if u != nil {
+					full = u.FullSize()
+				}
+				t.Fatalf("err = %v (FullSize %d), want ErrSnapshotCorrupt", err, full)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,10 @@
 package universe
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,10 +97,13 @@ type Universe struct {
 	// sym is the process-symmetry group the universe was quotiented by
 	// (WithSymmetry); nil for full universes. Quotient members are the
 	// orbit-canonical representatives, orbitSize[i] is the number of
-	// full-universe members in member i's renaming orbit, and fullSize
-	// is their sum — the cardinality the full enumeration would have.
+	// full-universe members in member i's renaming orbit, weights groups
+	// the members by orbit size into one bitset per distinct size, and
+	// fullSize is the sizes' sum — the cardinality the full enumeration
+	// would have. All three are installed together by setOrbits.
 	sym       *Symmetry
 	orbitSize []int64
+	weights   []WeightClass
 	fullSize  int64
 
 	// tr is the build trace attached by WithTrace, carried here so the
@@ -256,6 +262,55 @@ func (u *Universe) OrbitSize(i int) int64 {
 		return 1
 	}
 	return u.orbitSize[i]
+}
+
+// WeightClass is the set of a quotient's members that share one orbit
+// size. Members is a bitset over member indexes, 64 to a word (member i
+// is bit i&63 of word i>>6), the layout of the knowledge layer's truth
+// vectors.
+type WeightClass struct {
+	Size    int64
+	Members []uint64
+}
+
+// WeightClasses returns a quotient's members grouped by orbit size, one
+// class per distinct size, in increasing size; nil for full universes.
+// A count over the full universe is then Σ Size·|v ∧ Members| for a
+// truth vector v: word-parallel, one masked popcount per class, however
+// many members the quotient has. Under the sizes' divisibility (see
+// setOrbits) there are at most as many classes as the group order has
+// divisors — four under S3. The classes are shared and read-only.
+func (u *Universe) WeightClasses() []WeightClass { return u.weights }
+
+// setOrbits makes u a quotient by sym with the given per-member orbit
+// sizes: it groups the members into weight classes and sums the full
+// universe's cardinality. Every size must divide the group's order,
+// since an orbit's size is |G| over its stabilizer's, and the sum must
+// fit in an int64. Enumeration always meets both; a snapshot load
+// rejects sizes that do not.
+func (u *Universe) setOrbits(sym *Symmetry, orbs []int64) error {
+	order := sym.Order()
+	words := (len(orbs) + 63) / 64
+	var classes []WeightClass
+	var full int64
+	for i, o := range orbs {
+		if o < 1 || order%o != 0 {
+			return fmt.Errorf("member %d: orbit size %d does not divide the group order %d", i, o, order)
+		}
+		if full > math.MaxInt64-o {
+			return fmt.Errorf("member %d: orbit sizes overflow an int64", i)
+		}
+		full += o
+		k := slices.IndexFunc(classes, func(c WeightClass) bool { return c.Size == o })
+		if k < 0 {
+			k = len(classes)
+			classes = append(classes, WeightClass{Size: o, Members: make([]uint64, words)})
+		}
+		classes[k].Members[i>>6] |= 1 << (uint(i) & 63)
+	}
+	slices.SortFunc(classes, func(a, b WeightClass) int { return cmp.Compare(a.Size, b.Size) })
+	u.sym, u.orbitSize, u.weights, u.fullSize = sym, orbs, classes, full
+	return nil
 }
 
 // FullSize returns the cardinality of the full universe: Len() for full
