@@ -469,6 +469,11 @@ func ParseFormula(input string, vocab Vocabulary) (Formula, error) {
 	return logic.Parse(input, vocab)
 }
 
+// ErrFormulaTooDeep reports a formula whose operators nest more than
+// logic.MaxNesting deep; ParseFormula and the Checker's parsing methods
+// wrap it.
+var ErrFormulaTooDeep = logic.ErrNesting
+
 // PrintFormula renders a formula back into parseable syntax.
 func PrintFormula(f Formula) string { return logic.Print(f) }
 

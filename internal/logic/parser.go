@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"errors"
 	"fmt"
 
 	"hpl/internal/knowledge"
@@ -19,6 +20,19 @@ func NewVocabulary(preds ...knowledge.Predicate) Vocabulary {
 	return v
 }
 
+// MaxNesting bounds how deeply a formula's operators may nest: Parse
+// rejects, with an error wrapping ErrNesting, any formula whose syntax
+// tree is more than MaxNesting operators deep. Evaluation, printing and
+// keying all recurse on that tree, so the bound keeps untrusted input
+// from exhausting a goroutine's stack. The parser's own recursion is
+// bounded separately, at twice MaxNesting, so parentheses cannot
+// exhaust it either; Print never parenthesizes more than one level per
+// operator, so every formula Parse accepts prints to text it accepts.
+const MaxNesting = 1000
+
+// ErrNesting reports a formula nested past MaxNesting.
+var ErrNesting = errors.New("formula nests too deeply")
+
 // Parse parses the input into an epistemic formula, resolving atoms
 // against the vocabulary.
 func Parse(input string, vocab Vocabulary) (knowledge.Formula, error) {
@@ -27,7 +41,7 @@ func Parse(input string, vocab Vocabulary) (knowledge.Formula, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks, vocab: vocab}
-	f, err := p.formula()
+	f, _, err := p.formula()
 	if err != nil {
 		return nil, err
 	}
@@ -51,6 +65,8 @@ type parser struct {
 	toks  []token
 	pos   int
 	vocab Vocabulary
+	// calls counts the nested unary and implication calls in progress.
+	calls int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -77,107 +93,136 @@ func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("logic: position %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
 }
 
+// enter starts one more nested call, failing once the parser's
+// recursion passes twice MaxNesting; the caller pairs it with
+// p.calls--.
+func (p *parser) enter() error {
+	if p.calls++; p.calls > 2*MaxNesting {
+		return fmt.Errorf("logic: position %d: %w: more than %d nested operators and parentheses",
+			p.peek().pos, ErrNesting, 2*MaxNesting)
+	}
+	return nil
+}
+
+// node returns f, whose operators nest depth deep, failing when that is
+// past MaxNesting.
+func (p *parser) node(f knowledge.Formula, depth int) (knowledge.Formula, int, error) {
+	if depth > MaxNesting {
+		return nil, 0, fmt.Errorf("logic: position %d: %w: operators nest more than %d deep",
+			p.peek().pos, ErrNesting, MaxNesting)
+	}
+	return f, depth, nil
+}
+
+// Each parse method returns its formula with the depth of its syntax
+// tree: 0 for an atom or constant, one more than the deepest operand
+// for an operator.
+
 // formula := or ('->' formula)?
-func (p *parser) formula() (knowledge.Formula, error) {
-	left, err := p.or()
+func (p *parser) formula() (knowledge.Formula, int, error) {
+	left, dl, err := p.or()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if p.peek().kind == tokImplies {
-		p.next()
-		right, err := p.formula()
-		if err != nil {
-			return nil, err
-		}
-		return knowledge.Implies(left, right), nil
+	if p.peek().kind != tokImplies {
+		return left, dl, nil
 	}
-	return left, nil
+	p.next()
+	if err := p.enter(); err != nil {
+		return nil, 0, err
+	}
+	right, dr, err := p.formula()
+	if err != nil {
+		return nil, 0, err
+	}
+	p.calls--
+	return p.node(knowledge.Implies(left, right), max(dl, dr)+1)
 }
 
 // or := and ('|' and)*
-func (p *parser) or() (knowledge.Formula, error) {
-	left, err := p.and()
+func (p *parser) or() (knowledge.Formula, int, error) {
+	left, dl, err := p.and()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek().kind == tokOr {
 		p.next()
-		right, err := p.and()
+		right, dr, err := p.and()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		left = knowledge.Or(left, right)
+		if left, dl, err = p.node(knowledge.Or(left, right), max(dl, dr)+1); err != nil {
+			return nil, 0, err
+		}
 	}
-	return left, nil
+	return left, dl, nil
 }
 
 // and := unary ('&' unary)*
-func (p *parser) and() (knowledge.Formula, error) {
-	left, err := p.unary()
+func (p *parser) and() (knowledge.Formula, int, error) {
+	left, dl, err := p.unary()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.peek().kind == tokAnd {
 		p.next()
-		right, err := p.unary()
+		right, dr, err := p.unary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		left = knowledge.And(left, right)
+		if left, dl, err = p.node(knowledge.And(left, right), max(dl, dr)+1); err != nil {
+			return nil, 0, err
+		}
 	}
-	return left, nil
+	return left, dl, nil
 }
 
 // unary := '!' unary | 'K' procset unary | 'S' procset unary | 'C' unary
 // | TEMPORAL unary | '<>' unary | '[]' unary
 // | ('E'|'A') '[' formula 'U' formula ']' | primary
-func (p *parser) unary() (knowledge.Formula, error) {
+func (p *parser) unary() (knowledge.Formula, int, error) {
+	if err := p.enter(); err != nil {
+		return nil, 0, err
+	}
+	defer func() { p.calls-- }()
 	// Single-child temporal operators share one shape: keyword + unary.
 	if ctor, ok := temporalUnary[p.peek().kind]; ok {
 		p.next()
-		f, err := p.unary()
+		f, d, err := p.unary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return ctor(f), nil
+		return p.node(ctor(f), d+1)
 	}
 	switch p.peek().kind {
 	case tokNot:
 		p.next()
-		f, err := p.unary()
+		f, d, err := p.unary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return knowledge.Not(f), nil
-	case tokKnows:
-		p.next()
+		return p.node(knowledge.Not(f), d+1)
+	case tokKnows, tokSure:
+		op := p.next()
 		set, err := p.procSet()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		f, err := p.unary()
+		f, d, err := p.unary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return knowledge.Knows(set, f), nil
-	case tokSure:
-		p.next()
-		set, err := p.procSet()
-		if err != nil {
-			return nil, err
+		if op.kind == tokKnows {
+			return p.node(knowledge.Knows(set, f), d+1)
 		}
-		f, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return knowledge.Sure(set, f), nil
+		return p.node(knowledge.Sure(set, f), d+1)
 	case tokCommon:
 		p.next()
-		f, err := p.unary()
+		f, d, err := p.unary()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return knowledge.Common(f), nil
+		return p.node(knowledge.Common(f), d+1)
 	case tokExists, tokForall:
 		return p.until()
 	default:
@@ -203,29 +248,29 @@ var temporalUnary = map[tokenKind]func(knowledge.Formula) knowledge.Formula{
 }
 
 // until := ('E'|'A') '[' formula 'U' formula ']'
-func (p *parser) until() (knowledge.Formula, error) {
+func (p *parser) until() (knowledge.Formula, int, error) {
 	quant := p.next()
 	if _, err := p.expect(tokLBracket); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	left, err := p.formula()
+	left, dl, err := p.formula()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(tokUntil); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	right, err := p.formula()
+	right, dr, err := p.formula()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(tokRBracket); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if quant.kind == tokExists {
-		return knowledge.EU(left, right), nil
+		return p.node(knowledge.EU(left, right), max(dl, dr)+1)
 	}
-	return knowledge.AU(left, right), nil
+	return p.node(knowledge.AU(left, right), max(dl, dr)+1)
 }
 
 // procSet := '{' name (',' name)* '}'
@@ -258,34 +303,34 @@ func (p *parser) procSet() (trace.ProcSet, error) {
 }
 
 // primary := 'true' | 'false' | IDENT | STRING | '(' formula ')'
-func (p *parser) primary() (knowledge.Formula, error) {
+func (p *parser) primary() (knowledge.Formula, int, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokTrue:
 		p.next()
-		return knowledge.True, nil
+		return knowledge.True, 0, nil
 	case tokFalse:
 		p.next()
-		return knowledge.False, nil
+		return knowledge.False, 0, nil
 	case tokIdent, tokString:
 		p.next()
 		pred, ok := p.vocab[t.text]
 		if !ok {
-			return nil, fmt.Errorf("logic: position %d: unknown atom %q (not in the vocabulary)", t.pos, t.text)
+			return nil, 0, fmt.Errorf("logic: position %d: unknown atom %q (not in the vocabulary)", t.pos, t.text)
 		}
-		return knowledge.NewAtom(pred), nil
+		return knowledge.NewAtom(pred), 0, nil
 	case tokLParen:
 		p.next()
-		f, err := p.formula()
+		f, d, err := p.formula()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return f, nil
+		return f, d, nil
 	default:
-		return nil, p.errorf("expected a formula, found %s", t.describe())
+		return nil, 0, p.errorf("expected a formula, found %s", t.describe())
 	}
 }
 

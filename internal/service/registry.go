@@ -45,7 +45,7 @@ func (e *Error) Error() string { return e.Message }
 // Error codes.
 const (
 	CodeBadSpec          = "bad_spec"           // 400: the spec does not describe an enumerable system
-	CodeBadRequest       = "bad_request"        // 400: malformed JSON, missing formulas, oversized batch
+	CodeBadRequest       = "bad_request"        // 400: malformed JSON, missing formulas, oversized batch, formula nested too deeply
 	CodeUniverseTooLarge = "universe_too_large" // 422: enumeration exceeded the cap
 	CodeBudgetExceeded   = "budget_exceeded"    // 413: built universe exceeds the memory budget
 	CodeBuildCancelled   = "build_cancelled"    // 503: every waiter abandoned the build
@@ -648,36 +648,36 @@ func (r *Registry) Stats() Stats {
 
 // EstimateBytes estimates the resident footprint of a universe and the
 // engine structures a hot session grows over it: per member, the
-// structural-sharing computation node, hash-index slot and a share of
-// the partition tables, transition graph and truth vectors; per event,
-// the interned projection and hash state. It is an estimate — the cache
-// budget is advisory accounting, not an allocator — but it scales with
-// the real cost drivers (members and total events) and errs high.
+// universe's columns, hash-index slot and a share of the partition
+// tables, transition graph and truth vectors. It is an estimate — the
+// cache budget is advisory accounting, not an allocator — but it scales
+// with the real cost driver (members) and errs high.
 func EstimateBytes(u *hpl.Universe) int64 {
 	return EstimateStructureBytes(u) + EstimateSessionBytes(u)
 }
 
 // EstimateStructureBytes is the structural half of EstimateBytes: the
-// prefix-tree nodes, interned events and hash index the universe itself
-// owns. When one universe is extended into another they share this
-// structure, so only the larger entry is charged for it.
+// columns and hash index the universe itself owns. When one universe is
+// extended into another they share this structure, so only the larger
+// entry is charged for it.
 func EstimateStructureBytes(u *hpl.Universe) int64 {
-	var events int64
-	n := u.Len()
-	for i := 0; i < n; i++ {
-		events += int64(u.At(i).Len())
-	}
-	// perMember covers the prefix-tree node and member-slice slot,
-	// perEvent the interned event and hash state. perHashSlot charges the
-	// member-hash index (a map[Hash128]int32 bucket entry): the universe
-	// builds it lazily on the first IndexOf, which any Holds or Contains
-	// query on the session triggers, and the cache charges it up front
-	// so an entry's charge does not depend on the queries it has seen.
-	const perMember, perHashSlot, perEvent = 96, 40, 48
-	b := int64(n)*(perMember+perHashSlot) + events*perEvent
+	n := int64(u.Len())
+	// perMember covers the columns — the hash (16 bytes), and the
+	// length, parent, last-event and state-vector identifiers (4 each) —
+	// and the member's view slot (8). The views themselves are built on
+	// demand, and a session over the spec vocabulary, whose atoms fold
+	// the prefix index, builds only its witnesses' prefix chains; so
+	// nothing the universe keeps grows with its members' event counts.
+	// perHashSlot charges the member-hash index (a map[Hash128]int32
+	// bucket entry): the universe builds it lazily on the first IndexOf,
+	// which any Holds or Contains query on the session triggers, and the
+	// cache charges it up front so an entry's charge does not depend on
+	// the queries it has seen.
+	const perMember, perHashSlot = 40, 40
+	b := n * (perMember + perHashSlot)
 	if u.IsQuotient() {
 		// Orbit-size table: one int64 per member.
-		b += int64(n) * 8
+		b += n * 8
 	}
 	return b
 }

@@ -26,7 +26,10 @@ type CheckRequest struct {
 	// Universe describes the quantification domain; see hpl.UniverseSpec.
 	Universe hpl.UniverseSpec `json:"universe"`
 	// Formulas are textual formulas (internal/logic grammar) checked in
-	// order against the universe's standard vocabulary.
+	// order against the universe's standard vocabulary. A formula that
+	// fails to parse gets its own error result, except one nested past
+	// the grammar's bound, which fails the request like an oversized
+	// batch.
 	Formulas []string `json:"formulas"`
 }
 
@@ -408,8 +411,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, temporal bo
 		Cached:   cached,
 		Results:  make([]CheckResult, 0, len(req.Formulas)),
 	}
-	for _, input := range req.Formulas {
-		resp.Results = append(resp.Results, s.checkOne(e.Checker, input, temporal))
+	for i, input := range req.Formulas {
+		res, err := s.checkOne(e.Checker, input, temporal)
+		if errors.Is(err, hpl.ErrFormulaTooDeep) {
+			writeError(w, &Error{Status: http.StatusBadRequest, Code: CodeBadRequest, Message: fmt.Sprintf("formula %d: %v", i, err)})
+			return
+		}
+		resp.Results = append(resp.Results, res)
 	}
 	writeJSON(w, http.StatusOK, resp)
 	if d := time.Since(start); s.slowQuery > 0 && d >= s.slowQuery && s.logW != nil {
@@ -430,8 +438,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, temporal bo
 }
 
 // checkOne evaluates one formula of a batch against a hot session. A
-// parse failure is a per-formula error, not a request failure.
-func (s *Server) checkOne(ck *hpl.Checker, input string, temporal bool) CheckResult {
+// parse failure is a per-formula error, not a request failure; it is
+// also returned, so the caller can fail the request on a formula nested
+// past the grammar's bound.
+func (s *Server) checkOne(ck *hpl.Checker, input string, temporal bool) (CheckResult, error) {
 	out := CheckResult{Formula: input, FirstFailure: -1}
 	fill := func(rep hpl.Report) {
 		out.Holding, out.Total = rep.Holding, rep.Total
@@ -448,20 +458,20 @@ func (s *Server) checkOne(ck *hpl.Checker, input string, temporal bool) CheckRes
 		rep, err := ck.ParseAndCheckTemporal(input)
 		if err != nil {
 			out.Error = err.Error()
-			return out
+			return out, err
 		}
 		fill(rep.Report)
 		atInit := rep.AtInit
 		out.AtInit = &atInit
-		return out
+		return out, nil
 	}
 	rep, err := ck.ParseAndCheck(input)
 	if err != nil {
 		out.Error = err.Error()
-		return out
+		return out, err
 	}
 	fill(rep)
-	return out
+	return out, nil
 }
 
 func (s *Server) handleUniverseStats(w http.ResponseWriter, r *http.Request) {

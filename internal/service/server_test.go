@@ -207,6 +207,45 @@ func TestServerStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsDeepNesting posts formulas nested as deeply as a
+// body under the 1 MiB cap allows — parentheses and negations, to both
+// check endpoints. Each must fail with a structured 400, not exhaust a
+// goroutine's stack.
+func TestServerRejectsDeepNesting(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	body := func(open, close string) []byte {
+		at := func(n int) []byte {
+			f := strings.Repeat(open, n) + `"sent(p,m)"` + strings.Repeat(close, n)
+			b, err := json.Marshal(CheckRequest{Universe: testSpec, Formulas: []string{`"sent(p,m)"`, f}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		base := len(at(0))
+		return at((maxBodyBytes - base) / (len(open) + len(close)))
+	}
+	for _, path := range []string{"/v1/check", "/v1/check-temporal"} {
+		for _, b := range [][]byte{body("(", ")"), body("!", "")} {
+			if len(b) > maxBodyBytes || len(b) < maxBodyBytes-2 {
+				t.Fatalf("body is %d bytes, want just under the %d-byte cap", len(b), maxBodyBytes)
+			}
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e Error
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest ||
+				!strings.Contains(e.Message, "formula 1") || !strings.Contains(e.Message, "nests too deeply") {
+				t.Errorf("%s: got %d %+v (decode error %v), want 400 %s naming formula 1's nesting",
+					path, resp.StatusCode, e, err, CodeBadRequest)
+			}
+		}
+	}
+}
+
 func isServiceError(err error, status int, code string) bool {
 	var serr *Error
 	return errors.As(err, &serr) && serr.Status == status && serr.Code == code

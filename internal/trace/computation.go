@@ -32,10 +32,13 @@ var (
 // parent's entire history and is constructed in O(1) space. The flat
 // event slice and the canonical string key are materialized lazily and
 // cached; the 128-bit canonical hash is extended incrementally at
-// construction, so identity checks and dedup never touch strings. The
-// enumeration engine (internal/universe) is built on exactly these
-// properties: child = parent + event, order and index by hash, keys
-// never computed.
+// construction, so identity checks and dedup never touch strings.
+//
+// A universe (internal/universe) does not store its members as
+// Computations: it keeps the same prefix tree as pointer-free columns —
+// each member's parent number, interned last event, hash and length —
+// and builds a member's Computation only when a caller asks for it,
+// through Extend on its parent's.
 type Computation struct {
 	// parent is the one-event-shorter prefix; nil exactly for the empty
 	// computation.
@@ -118,7 +121,7 @@ func NewComputation(events []Event) (*Computation, error) {
 		default:
 			return nil, fmt.Errorf("%w: event %s has kind %v", ErrBadMessage, e.ID, e.Kind)
 		}
-		c = &Computation{parent: c, last: e, n: c.n + 1, hash: c.hash.ExtendEvent(e)}
+		c = Extend(c, e)
 	}
 	return c, nil
 }
@@ -151,7 +154,8 @@ func (c *Computation) Len() int { return c.n }
 // the empty computation. Together with Last it exposes the persistent
 // prefix-tree structure: the enumeration engine's search tree and the
 // universe's prefix-extension transition graph are both exactly this
-// parent relation.
+// parent relation, and a universe member's Parent is the member its
+// prefix index names.
 func (c *Computation) Parent() *Computation { return c.parent }
 
 // Last returns the final event of c; ok is false when c is empty.
@@ -394,6 +398,17 @@ func (c *Computation) Suffix(x *Computation) ([]Event, error) {
 // ErrNotPrefix reports a Suffix or Concat argument that is not a prefix.
 var ErrNotPrefix = errors.New("trace: not a prefix")
 
+// Extend returns parent extended by e, without validation.
+//
+// The caller must guarantee that e is a valid extension of parent:
+// canonical identifiers at the correct per-process positions, receives
+// only of in-flight messages with matching peers. Universes rebuild
+// their members from events that were valid when enumerated or loaded;
+// anything else should go through Append, which validates.
+func Extend(parent *Computation, e Event) *Computation {
+	return &Computation{parent: parent, last: e, n: parent.n + 1, hash: parent.hash.ExtendEvent(e)}
+}
+
 // Append returns (c;e) validated as a system computation. Validation is
 // incremental: only the new event is checked, against the (already
 // valid) prefix.
@@ -401,7 +416,7 @@ func (c *Computation) Append(e Event) (*Computation, error) {
 	if err := c.validateExtend(e); err != nil {
 		return nil, err
 	}
-	return &Computation{parent: c, last: e, n: c.n + 1, hash: c.hash.ExtendEvent(e)}, nil
+	return Extend(c, e), nil
 }
 
 // validateExtend checks that e is a valid one-event extension of the

@@ -6,7 +6,7 @@ import "testing"
 // hangs on: the 128-bit canonical hash is a pure function of the event
 // sequence, identical no matter how the computation was constructed —
 // builder replay, whole-sequence validation, incremental Append, or
-// the unchecked arena path the enumeration engine uses.
+// the unchecked Extend a universe builds its member views with.
 func TestHashEqualsAcrossConstructionPaths(t *testing.T) {
 	viaBuilder := NewBuilder().
 		Send("p", "q", "m").
@@ -25,17 +25,16 @@ func TestHashEqualsAcrossConstructionPaths(t *testing.T) {
 		viaAppend = d
 	}
 
-	var arena Arena
-	viaArena := Empty()
+	viaExtend := Empty()
 	for _, e := range viaBuilder.Events() {
-		viaArena = arena.Extend(viaArena, e)
+		viaExtend = Extend(viaExtend, e)
 	}
 
 	want := viaBuilder.Hash()
 	for name, c := range map[string]*Computation{
 		"NewComputation": viaNew,
 		"Append":         viaAppend,
-		"Arena":          viaArena,
+		"Extend":         viaExtend,
 	} {
 		if c.Hash() != want {
 			t.Errorf("%s hash = %+v, want %+v", name, c.Hash(), want)

@@ -15,11 +15,12 @@ import (
 // same, because the universe's hash index could not tell the two apart.
 var ErrHashCollision = errors.New("universe: 128-bit canonical hash collision")
 
-// canonicalize turns the drained pool's emission records into the
+// canonicalize turns the drained pool's emission log into the
 // universe. The engine's search tree is the universe's prefix tree, so
-// the prefix index is born here rather than rebuilt later: one pass over
-// the records in canonical order fills the members, their state vectors
-// and orbit sizes, and each member's parent and interned last event.
+// the universe's columns are born here: one pass over the records in
+// canonical order fills each member's hash, length, state vector and
+// orbit size, and its parent and interned last event in the prefix
+// index.
 //
 // Records are addressed by emission number, less the seed's size, so a
 // record's par names its parent's record (or, below the seed's size, a
@@ -28,25 +29,31 @@ var ErrHashCollision = errors.New("universe: 128-bit canonical hash collision")
 // numbered by first occurrence in member order, which is the order
 // newPrefixIndex interns in.
 func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, error) {
-	base := 0
-	if seed != nil {
-		base = seed.base.Len()
+	base := e.base
+	var lens []int32
+	for _, wl := range e.lens {
+		for l, c := range wl {
+			for len(lens) <= l {
+				lens = append(lens, 0)
+			}
+			lens[l] += c
+		}
 	}
-	// The pool has drained: release each record array once it is
-	// consumed.
-	recs, recEvent, recEvents, lens := e.mergeEmissions(base)
-	e.outs = nil
+	nrec := int(e.emitted.Load()) - base
+	recs := records(e.recs.chunks())
+	masks := e.masks.chunks()
 	// memberOf maps a record to its member index. canonicalOrder uses it
 	// as scratch first; each entry is rewritten before it is read, since
 	// a parent is shorter than its children and so precedes them.
-	memberOf := make([]int32, len(recs))
-	order, err := canonicalOrder(recs, lens, memberOf)
+	memberOf := make([]int32, nrec)
+	order, err := canonicalOrder(recs, lens, memberOf, func(k int32) string { return e.computation(recs, int32(base)+k).Key() })
 	if err != nil {
 		return nil, err
 	}
 
-	n := base + len(recs)
-	comps := make([]*trace.Computation, n)
+	n := base + nrec
+	hash := make([]trace.Hash128, n)
+	length := make([]int32, n)
 	svs := make([]int32, n)
 	x := &prefixIndex{parent: make([]int32, n), event: make([]int32, n)}
 	var orbs []int64
@@ -61,35 +68,37 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 		// order — a from-scratch build of the larger bound sorts to
 		// exactly this. The base's index, events included, is likewise
 		// the prefix of the extension's.
-		bx := seed.base.prefixIndex()
-		copy(comps, seed.base.comps)
+		b := seed.base
+		copy(hash, b.hash)
+		copy(length, b.length)
 		copy(svs, seed.svs)
-		copy(x.parent, bx.parent)
-		copy(x.event, bx.event)
-		x.eventTable = bx.eventTable.clone()
-		copy(orbs, seed.base.orbitSize)
+		copy(x.parent, e.baseX.parent)
+		copy(x.event, e.baseX.event)
+		x.eventTable = e.baseX.eventTable.clone()
+		copy(orbs, b.orbitSize)
 	}
-	eventID := make([]int32, len(recEvents.events))
+	events := e.events.table()
+	eventID := make([]int32, len(events))
 	for i := range eventID {
 		eventID[i] = -1
 	}
 	for m, k := range order {
 		j := base + m
-		nd := &recs[k]
-		comps[j], svs[j] = nd.comp, nd.sv
+		r := recs.at(k)
+		hash[j], length[j], svs[j] = r.hash, r.n, r.sv
 		if orbs != nil {
-			orbs[j] = e.grp.orbitSize(nd.mask)
+			orbs[j] = e.grp.orbitSize(masks[k>>logChunkBits][k&logChunkMask])
 		}
 		memberOf[k] = int32(j)
-		par := nd.par
+		par := r.par
 		if int(par) >= base {
 			par = memberOf[int(par)-base]
 		}
 		x.parent[j] = par
-		ev := recEvent[k]
+		ev := r.ev
 		if ev >= 0 {
 			if eventID[ev] < 0 {
-				eventID[ev] = x.intern(&recEvents.events[ev])
+				eventID[ev] = x.intern(&events[ev].Event)
 			}
 			ev = eventID[ev]
 		}
@@ -99,8 +108,7 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 		e.cfg.progress(Progress{Explored: n})
 	}
 
-	u := newSorted(comps, all, x.parent)
-	u.prefixOnce.Do(func() { u.prefix = x })
+	u := newSorted(hash, length, x, all)
 	u.proto = e.p
 	u.maxEvents = e.cfg.maxEvents
 	u.states = e.states
@@ -117,61 +125,33 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 	return u, nil
 }
 
-// mergeEmissions lays the workers' records out by emission number, less
-// base, and returns them with each record's last event as an identifier
-// into one shared event table, and the number of records of each
-// length. A single worker's records are already in emission order and
-// are returned as they are; several workers' are scattered into fresh
-// arrays, their local event identifiers translated on the way, and each
-// worker's share is dropped once copied.
-func (e *engine) mergeEmissions(base int) (recs []enode, event []int32, events *eventTable, lens []int32) {
-	if len(e.outs) == 1 {
-		o := &e.outs[0]
-		return o.nodes, o.event, &o.events, o.lens
+// computation builds the computation numbered num from the emission log
+// and the base; only error messages need one.
+func (e *engine) computation(recs records, num int32) *trace.Computation {
+	evs := e.events.table()
+	var chain []int32
+	for ev, par := e.step(recs, num); ev >= 0; ev, par = e.step(recs, par) {
+		chain = append(chain, ev)
 	}
-	total := 0
-	for i := range e.outs {
-		total += len(e.outs[i].nodes)
+	c := trace.Empty()
+	for k := len(chain) - 1; k >= 0; k-- {
+		c = trace.Extend(c, evs[chain[k]].Event)
 	}
-	recs = make([]enode, total)
-	event = make([]int32, total)
-	events = &eventTable{}
-	for i := range e.outs {
-		o := &e.outs[i]
-		shared := make([]int32, len(o.events.events))
-		for id := range o.events.events {
-			shared[id] = events.intern(&o.events.events[id])
-		}
-		for k, nd := range o.nodes {
-			r := int(o.num[k]) - base
-			recs[r] = nd
-			event[r] = -1
-			if ev := o.event[k]; ev >= 0 {
-				event[r] = shared[ev]
-			}
-		}
-		for l, c := range o.lens {
-			for len(lens) <= l {
-				lens = append(lens, 0)
-			}
-			lens[l] += c
-		}
-		*o = emission{}
-	}
-	return recs, event, events, lens
+	return c
 }
 
 // canonicalOrder returns the record indexes in canonical (length, hash)
-// order; lens[l] counts the records with l events, and keys (one entry
-// per record) is scratch it overwrites. A counting pass distributes the
+// order; lens[l] counts the records with l events, and scratch (one
+// entry per record) is overwritten. A counting pass distributes the
 // records into buckets on (length, top hash bits) — 2^b buckets for a
 // length holding c records, 2^(b-1) ≤ c < 2^b, so a bucket holds under
 // one record on average — and an insertion sort finishes each bucket on
-// the full hash. Only the latter touches a computation more than once.
-// The records are distinct computations (see the engine.go header), so
-// a full 128-bit tie at one length is a hash collision, and
-// checkHashTies fails the run on it rather than order the pair.
-func canonicalOrder(recs []enode, lens []int32, keys []int32) ([]int32, error) {
+// the full hash. Both read the records' hash and length fields in
+// place. The records are distinct computations (see the engine.go
+// header), so a full 128-bit tie at one length is a hash collision, and
+// checkHashTies fails the run on it, naming both members by key, rather
+// than order the pair.
+func canonicalOrder(recs records, lens []int32, scratch []int32, key func(k int32) string) ([]int32, error) {
 	first := make([]int, len(lens)+1)
 	shift := make([]uint8, len(lens))
 	for l, c := range lens {
@@ -182,11 +162,10 @@ func canonicalOrder(recs []enode, lens []int32, keys []int32) ([]int32, error) {
 	// bound[b] counts bucket b's records, then becomes the position
 	// after its last one.
 	bound := make([]int32, first[len(lens)])
-	for k := range recs {
-		c := recs[k].comp
-		l := c.Len()
-		b := first[l] + int(c.Hash().Hi>>shift[l])
-		keys[k] = int32(b)
+	for k := range scratch {
+		r := recs.at(int32(k))
+		b := first[r.n] + int(r.hash.Hi>>shift[r.n])
+		scratch[k] = int32(b)
 		bound[b]++
 	}
 	next := int32(0)
@@ -194,12 +173,12 @@ func canonicalOrder(recs []enode, lens []int32, keys []int32) ([]int32, error) {
 		bound[b] = next
 		next += c
 	}
-	order := make([]int32, len(recs))
-	for k, b := range keys {
+	order := make([]int32, len(scratch))
+	for k, b := range scratch {
 		order[bound[b]] = int32(k)
 		bound[b]++
 	}
-	less := func(i, j int32) bool { return recs[i].comp.Hash().Less(recs[j].comp.Hash()) }
+	less := func(i, j int32) bool { return recs.at(i).hash.Less(recs.at(j).hash) }
 	lo := int32(0)
 	for _, hi := range bound {
 		for a := lo + 1; a < hi; a++ {
@@ -209,18 +188,17 @@ func canonicalOrder(recs []enode, lens []int32, keys []int32) ([]int32, error) {
 		}
 		lo = hi
 	}
-	return order, checkHashTies(recs, order, (*trace.Computation).Hash)
+	return order, checkHashTies(recs, order, key)
 }
 
 // checkHashTies fails with ErrHashCollision when two records adjacent in
-// order — canonical order under hash — have equal lengths and hashes.
-// Equal hashes at different lengths pass. hash is a parameter so tests
-// can forge collisions.
-func checkHashTies(recs []enode, order []int32, hash func(*trace.Computation) trace.Hash128) error {
+// order — canonical order under hash — have equal lengths and hashes,
+// naming both by key. Equal hashes at different lengths pass.
+func checkHashTies(recs records, order []int32, key func(k int32) string) error {
 	for i := 1; i < len(order); i++ {
-		a, b := recs[order[i-1]].comp, recs[order[i]].comp
-		if a.Len() == b.Len() && hash(a) == hash(b) {
-			return fmt.Errorf("%w: %q vs %q", ErrHashCollision, a.Key(), b.Key())
+		a, b := recs.at(order[i-1]), recs.at(order[i])
+		if a.n == b.n && a.hash == b.hash {
+			return fmt.Errorf("%w: %q vs %q", ErrHashCollision, key(order[i-1]), key(order[i]))
 		}
 	}
 	return nil

@@ -9,38 +9,37 @@ import (
 )
 
 // tieRecords returns emission records of three distinct computations —
-// one of length 1 and two of length 2 — in canonical order.
-func tieRecords(t *testing.T) ([]enode, []int32) {
-	t.Helper()
-	recs := []enode{
-		{comp: trace.NewBuilder().Internal("p", "a").MustBuild()},
-		{comp: trace.NewBuilder().Internal("p", "a").Internal("p", "b").MustBuild()},
-		{comp: trace.NewBuilder().Internal("p", "a").Internal("p", "c").MustBuild()},
+// one of length 1 and two of length 2 — and their keys, by record.
+func tieRecords() (records, []string) {
+	comps := []*trace.Computation{
+		trace.NewBuilder().Internal("p", "a").MustBuild(),
+		trace.NewBuilder().Internal("p", "a").Internal("p", "b").MustBuild(),
+		trace.NewBuilder().Internal("p", "a").Internal("p", "c").MustBuild(),
 	}
-	order, err := canonicalOrder(recs, []int32{0, 1, 2}, make([]int32, len(recs)))
-	if err != nil {
-		t.Fatal(err)
+	recs := records{new([1 << logChunkBits]record)}
+	keys := make([]string, len(comps))
+	for k, c := range comps {
+		*recs.at(int32(k)) = record{hash: c.Hash(), n: int32(c.Len())}
+		keys[k] = c.Key()
 	}
-	if len(order) != len(recs) {
-		t.Fatalf("canonical order has %d records, want %d", len(order), len(recs))
-	}
-	return recs, order
+	return recs, keys
 }
 
 // TestCanonicalOrderSameHashDifferentLength pins the length safety net:
 // computations with equal 128-bit hashes but different lengths are
 // certainly distinct, so the tie check keeps both.
 func TestCanonicalOrderSameHashDifferentLength(t *testing.T) {
-	recs, order := tieRecords(t)
-	forged := trace.Hash128{Hi: 7, Lo: 9}
-	// The length-1 record and the length-2 record after it share it.
-	hash := func(c *trace.Computation) trace.Hash128 {
-		if c == recs[order[0]].comp || c == recs[order[1]].comp {
-			return forged
-		}
-		return c.Hash()
+	recs, keys := tieRecords()
+	key := func(k int32) string { return keys[k] }
+	order, err := canonicalOrder(recs, []int32{0, 1, 2}, make([]int32, len(keys)), key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := checkHashTies(recs, order, hash); err != nil {
+	// The length-1 record and the length-2 record after it share one.
+	forged := trace.Hash128{Hi: 7, Lo: 9}
+	recs.at(order[0]).hash = forged
+	recs.at(order[1]).hash = forged
+	if err := checkHashTies(recs, order, key); err != nil {
 		t.Fatalf("equal hashes at different lengths: %v", err)
 	}
 }
@@ -49,21 +48,20 @@ func TestCanonicalOrderSameHashDifferentLength(t *testing.T) {
 // length with equal hashes fail with ErrHashCollision naming both,
 // since the universe's hash index could not tell them apart.
 func TestCanonicalOrderDetectsCollision(t *testing.T) {
-	recs, order := tieRecords(t)
+	recs, keys := tieRecords()
 	forged := trace.Hash128{Hi: 1, Lo: 2}
-	hash := func(c *trace.Computation) trace.Hash128 {
-		if c.Len() == 2 {
-			return forged
+	for k := range keys {
+		if r := recs.at(int32(k)); r.n == 2 {
+			r.hash = forged
 		}
-		return c.Hash()
 	}
-	err := checkHashTies(recs, order, hash)
+	_, err := canonicalOrder(recs, []int32{0, 1, 2}, make([]int32, len(keys)), func(k int32) string { return keys[k] })
 	if !errors.Is(err, ErrHashCollision) {
 		t.Fatalf("err = %v, want ErrHashCollision", err)
 	}
-	for _, r := range recs[1:] {
-		if !strings.Contains(err.Error(), r.comp.Key()) {
-			t.Fatalf("error %q does not name %q", err, r.comp.Key())
+	for _, k := range keys[1:] {
+		if !strings.Contains(err.Error(), k) {
+			t.Fatalf("error %q does not name %q", err, k)
 		}
 	}
 }

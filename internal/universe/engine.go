@@ -14,16 +14,23 @@ import (
 // The enumeration engine is an iterative frontier search run by a pool
 // of workers, rebuilt around structural sharing and incremental state:
 //
-//   - A frontier node is a computation in the persistent prefix-tree
-//     representation (child = parent + one event; see trace.Computation)
-//     plus the int32 identifier of its interned local-state vector.
-//     Expanding a node never replays or copies its event history: one
-//     allocation-free walk of the parent chain recovers the per-process
-//     event counts, send counters, and in-flight messages.
-//   - Children are constructed unchecked through per-worker arenas —
-//     the engine's events are canonical by construction — with event
-//     and message identifiers taken from tables precomputed up to the
-//     event bound, so child construction allocates no strings.
+//   - A frontier node is a fixed-size record with no pointers: the
+//     computation's 128-bit hash and length, its parent's number, its
+//     interned last event, and the int32 identifier of its interned
+//     local-state vector. Expanding a node never replays or copies its
+//     event history: one allocation-free walk of the parent numbers
+//     recovers the per-process event counts, send counters, and
+//     in-flight messages.
+//   - Every emitted node is stored by emission number in a log of fixed
+//     chunks, which never move once allocated, so a worker walking
+//     another worker's records never reads memory that is being
+//     reallocated. Numbers below the seed's size name the base
+//     universe's members and are read from its columns.
+//   - A child's hash is its parent's extended by one event, built on
+//     the stack from identifiers precomputed up to the event bound; the
+//     event is interned in a table the workers share, behind a
+//     per-worker cache. No trace.Computation is built: the universe's
+//     member views are made on demand (see Universe.At).
 //   - No seen-set: every node above the seed horizon is emitted, and
 //     no two are the same computation. The search tree is the
 //     universe's prefix tree — a node is its parent plus one event — so
@@ -51,12 +58,11 @@ import (
 //
 // The emitted set is independent of worker count and of scheduling; the
 // final universe is put in canonical (length, hash) order by a bucket
-// pass over the emission records (see canonicalize), so enumeration
-// with any parallelism yields byte-identical results — same member
-// order, hence identical Partition tables and Transitions graph. The
-// search tree is the universe's prefix tree, so the same pass hands the
-// prefix index over: every record carries its parent's emission number
-// and its last event, interned by the emitting worker. The differential
+// pass over the emission log (see canonicalize), so enumeration with
+// any parallelism yields byte-identical results — same member order,
+// hence identical Partition tables and Transitions graph. The same pass
+// lays the records out as the universe's columns: hash, length, state
+// vector, and the prefix index's parent and event. The differential
 // tests in differential_test.go hold the engine to that contract,
 // against both its own sequential runs and a replay-based reference
 // enumerator.
@@ -67,22 +73,113 @@ import (
 // not a function of their events.
 var ErrAmbiguousStep = errors.New("universe: equal events lead to different states")
 
-// enode is one work item of the frontier: a computation plus its
-// interned local-state vector and its parent's emission number (see
-// engine.emitted). Under WithSymmetry it also carries the computation's
-// support mask — bit i set when procs[i] appears as the Proc or Peer of
-// some event — which identifies the node's stabilizer (the pointwise
-// stabilizer of the support) and hence its orbit size. par sits in the
-// padding after sv, so a node stays 24 bytes.
-type enode struct {
-	comp *trace.Computation
-	sv   int32
-	// par is the emission number of the parent, -1 for the null
-	// computation. An extension's seed nodes are never emitted; they
-	// carry their own base member index instead, which is the number
-	// their children's par must name.
+// record is one member as the engine emits it: its hash and length,
+// the number of its parent (-1 for the null computation), its last
+// event's identifier in the engine's shared event table (-1 for null),
+// and its interned local-state vector. A number is an emission number
+// (see engine.emitted); below the seed's size it is a base member index.
+type record struct {
+	hash trace.Hash128
 	par  int32
+	ev   int32
+	sv   int32
+	n    int32
+}
+
+// enode is one work item of the frontier: the record the node will be
+// emitted as and, under WithSymmetry, its support mask — bit i set when
+// procs[i] appears as the Proc or Peer of some event — which identifies
+// the node's stabilizer (the pointwise stabilizer of the support) and
+// hence its orbit size. An extension's seed nodes are never emitted;
+// their par is their own base member index, the number their children
+// must name.
+type enode struct {
+	record
 	mask uint64
+}
+
+// logChunkBits sizes the emission log's chunks: 1024 records each.
+const logChunkBits = 10
+
+const logChunkMask = 1<<logChunkBits - 1
+
+// chunkLog is an append-only array of T split into fixed chunks that
+// never move. Workers write their own slots concurrently; a slot is
+// read only after its write happened before (through the work queue),
+// and the chunk directory is replaced, never mutated below its length,
+// so readers holding an older directory stay valid.
+type chunkLog[T any] struct {
+	mu  sync.Mutex
+	dir atomic.Pointer[[]*[1 << logChunkBits]T]
+}
+
+// chunks returns the current chunk directory.
+func (l *chunkLog[T]) chunks() []*[1 << logChunkBits]T {
+	if d := l.dir.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+// slot returns slot k for writing, allocating its chunk if need be.
+func (l *chunkLog[T]) slot(k int) *T {
+	c := k >> logChunkBits
+	if d := l.chunks(); c < len(d) {
+		return &d[c][k&logChunkMask]
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	d := l.chunks()
+	for len(d) <= c {
+		d = append(d, new([1 << logChunkBits]T))
+	}
+	l.dir.Store(&d)
+	return &d[c][k&logChunkMask]
+}
+
+// records is a snapshot of the emission log's chunk directory.
+type records []*[1 << logChunkBits]record
+
+func (r records) at(k int32) *record { return &r[k>>logChunkBits][k&logChunkMask] }
+
+// engineEvent is an entry of the engine's shared event table: the event
+// and the indexes of its process and peer (-1 when it has none), which
+// the chain walk needs.
+type engineEvent struct {
+	trace.Event
+	proc, peer int32
+}
+
+// eventLog interns events for all workers. Interning takes the lock,
+// but workers reach it only on a miss in their own cache (see
+// worker.internEvent), once per distinct event per worker. Readers
+// load the published table without locking: it only ever grows, an
+// identifier is published before any record names it, and a reader
+// only looks up identifiers it read from such a record.
+type eventLog struct {
+	mu  sync.Mutex
+	tab eventTable
+	pub atomic.Pointer[[]engineEvent]
+}
+
+// table returns the published events.
+func (l *eventLog) table() []engineEvent {
+	if t := l.pub.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// intern returns ev's identifier, publishing ev when it is new.
+func (l *eventLog) intern(ev *trace.Event, proc, peer int32) int32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id := l.tab.intern(ev)
+	if t := l.table(); int(id) == len(t) {
+		t = append(t, engineEvent{Event: *ev, proc: proc, peer: peer})
+		l.pub.Store(&t)
+	}
+	return id
 }
 
 type engine struct {
@@ -110,6 +207,13 @@ type engine struct {
 	// from-scratch runs, so the null computation is emitted.
 	noEmitLen int
 
+	// base is the seed universe's size, 0 for from-scratch runs; numbers
+	// below it are base member indexes, read through baseX, whose
+	// events baseEv maps into the shared event table.
+	base   int
+	baseX  *prefixIndex
+	baseEv []int32
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []enode
@@ -133,44 +237,38 @@ type engine struct {
 	// progMu serializes the user's progress callback.
 	progMu sync.Mutex
 
-	// outs collects each worker's emission records; canonicalize
-	// merges them once the pool drains.
-	outs []emission
+	// recs holds the emitted records by emission number less base, and
+	// masks their support masks under WithSymmetry; events is the shared
+	// event table they name. lens[w][l] counts worker w's records with
+	// l events. canonicalize turns all of it into the universe.
+	recs   chunkLog[record]
+	masks  chunkLog[uint64]
+	events eventLog
+	lens   [][]int32
 }
 
-// emission is one worker's share of the emitted members, in its
-// emission order. Keeping the whole node (not just the computation)
-// preserves each member's interned state vector, which Extend needs to
-// re-seed the next frontier without replaying the protocol, and its
-// parent's emission number, which becomes the prefix index's parent.
-type emission struct {
-	nodes []enode
-	// event[k] is nodes[k]'s last event, interned in events while the
-	// record is still hot in the worker's cache; -1 for the null
-	// computation.
-	event  []int32
-	events eventTable
-	// num[k] is nodes[k]'s emission number. Nil with a single worker,
-	// whose records are numbered consecutively.
-	num []int32
-	// lens[l] counts the records with l events.
-	lens []int32
-}
-
-// worker holds one worker's arena, scratch buffers, and lock-free
-// caches over the engine's shared state table.
+// worker holds one worker's scratch buffers and lock-free caches over
+// the engine's shared state.
 type worker struct {
-	e     *engine
-	out   *emission
-	arena trace.Arena
+	e *engine
 
 	batch    []enode
 	children []enode
 
-	// Chain-walk scratch, reused across expansions.
+	// lens[l] counts the records this worker emitted with l events.
+	lens []int32
+
+	// local caches the shared event table: glob[id] is the shared
+	// identifier of the event local interned as id.
+	local eventTable
+	glob  []int32
+
+	// Chain-walk scratch, reused across expansions. events is the shared
+	// event table as of the last walk; inflight holds identifiers into it.
+	events   []engineEvent
 	evCount  []int32
 	nextMsg  []int32
-	inflight []trace.Event
+	inflight []int32
 	received []trace.MsgID
 
 	// Worker-local caches; entries are immutable once computed, so no
@@ -299,20 +397,29 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		states:    states,
 		grp:       grp,
 		noEmitLen: -1,
-		outs:      make([]emission, cfg.parallelism),
+		lens:      make([][]int32, cfg.parallelism),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if seed != nil {
 		// Queue the old frontier. The emit counter starts at the base
 		// size so cap and progress semantics match a from-scratch run of
-		// the larger bound.
-		e.noEmitLen = seed.base.maxEvents
-		e.emitted.Store(int64(seed.base.Len()))
-		for i := 0; i < seed.base.Len(); i++ {
-			if c := seed.base.At(i); c.Len() == seed.base.maxEvents {
-				nd := enode{comp: c, sv: seed.svs[i], par: int32(i)}
+		// the larger bound; the base's events join the shared table so
+		// chain walks read base members like records.
+		b := seed.base
+		e.noEmitLen = b.maxEvents
+		e.base = b.Len()
+		e.emitted.Store(int64(e.base))
+		e.baseX = b.prefixIndex()
+		e.baseEv = make([]int32, len(e.baseX.events))
+		for id := range e.baseX.events {
+			ev := &e.baseX.events[id]
+			e.baseEv[id] = e.events.intern(ev, e.procOf(ev.Proc), e.procOf(ev.Peer))
+		}
+		for i := range e.base {
+			if int(b.length[i]) == b.maxEvents {
+				nd := enode{record: record{hash: b.hash[i], par: int32(i), ev: -1, sv: seed.svs[i], n: b.length[i]}}
 				if grp != nil {
-					nd.mask = e.supportMask(c)
+					nd.mask = e.supportMask(int32(i))
 				}
 				e.queue = append(e.queue, nd)
 			}
@@ -323,7 +430,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 			vec0[i] = p.Init(id)
 		}
 		sv0, _ := states.intern(vec0, nil)
-		e.queue = []enode{{comp: trace.Empty(), sv: sv0, par: -1}}
+		e.queue = []enode{{record: record{hash: trace.Empty().Hash(), par: -1, ev: -1, sv: sv0}}}
 	}
 	e.frontier.Store(int64(len(e.queue)))
 
@@ -334,7 +441,6 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 			defer wg.Done()
 			wk := &worker{
 				e:       e,
-				out:     &e.outs[w],
 				evCount: make([]int32, n),
 				nextMsg: make([]int32, n),
 				vecs:    make(map[int32][]string),
@@ -346,6 +452,7 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 				wk.stabCache = make(map[uint64][]int32)
 			}
 			e.run(wk)
+			e.lens[w] = wk.lens
 			if wk.symChecks > 0 {
 				e.symCheckN.Add(wk.symChecks)
 				e.symRejectN.Add(wk.symRejects)
@@ -411,6 +518,15 @@ func (e *engine) eventID(pi, k int32) trace.EventID {
 	return trace.NewEventID(e.procs[pi], int(k))
 }
 
+// procOf returns the index of process p, or -1 when p is empty or not
+// a process of the protocol.
+func (e *engine) procOf(p trace.ProcID) int32 {
+	if i, ok := e.procIdx[p]; ok {
+		return i
+	}
+	return -1
+}
+
 // msgID returns the canonical identifier of the k-th message from
 // procs[pi], from the precomputed table when possible.
 func (e *engine) msgID(pi, k int32) trace.MsgID {
@@ -444,8 +560,8 @@ func (e *engine) run(w *worker) {
 
 		w.children = w.children[:0]
 		var err error
-		for _, nd := range w.batch {
-			if err = w.expand(nd, &w.children); err != nil {
+		for i := range w.batch {
+			if err = w.expand(&w.batch[i], &w.children); err != nil {
 				break
 			}
 		}
@@ -471,17 +587,16 @@ func (e *engine) run(w *worker) {
 }
 
 // expand emits nd's computation and appends its children to *children.
-func (w *worker) expand(nd enode, children *[]enode) error {
+func (w *worker) expand(nd *enode, children *[]enode) error {
 	e := w.e
 	if err := e.cfg.ctx.Err(); err != nil {
 		return err
 	}
-	c := nd.comp
 	// Nodes at or below the seed horizon are already members of the
 	// universe being extended: expand them, but emit only their
 	// descendants. Such a seed carries its own number in par.
 	self := nd.par
-	if c.Len() > e.noEmitLen {
+	if int(nd.n) > e.noEmitLen {
 		count := e.emitted.Add(1)
 		self = int32(count - 1)
 		w.emit(nd, self)
@@ -493,14 +608,15 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 		}
 	}
 
-	if c.Len() >= e.cfg.maxEvents {
+	if int(nd.n) >= e.cfg.maxEvents {
 		return nil
 	}
-	w.loadChain(c)
+	w.loadChain(self)
 	// Deliveries of in-flight messages.
-	for _, send := range w.inflight {
-		dst := e.procIdx[send.Peer]
-		csv := w.deliverChild(nd.sv, dst, e.procIdx[send.Proc], send.Tag)
+	for _, id := range w.inflight {
+		send := &w.events[id]
+		dst := send.peer
+		csv := w.deliverChild(nd.sv, dst, send.proc, send.Tag)
 		if csv < 0 {
 			continue
 		}
@@ -516,7 +632,7 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 		// and addressee both already appear in the parent's support (the
 		// send event carries them as Proc and Peer), so every stabilizer
 		// element fixes the receive event — its sibling orbit is itself.
-		*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: csv, par: self, mask: nd.mask | 1<<uint(dst)})
+		*children = append(*children, w.child(nd, self, &ev, dst, send.proc, csv, nd.mask|1<<uint(dst)))
 	}
 	// Spontaneous steps.
 	for pi := range e.procs {
@@ -564,7 +680,7 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 				if e.cfg.trace != nil {
 					t0 = time.Now()
 				}
-				canon := w.symCanonical(c, nd.mask, ev, int32(pi), qi, w.evCount[pi], w.nextMsg[pi])
+				canon := w.symCanonical(nd.hash, nd.mask, ev, int32(pi), qi, w.evCount[pi], w.nextMsg[pi])
 				if e.cfg.trace != nil {
 					w.symNanos += int64(time.Since(t0))
 				}
@@ -573,33 +689,48 @@ func (w *worker) expand(nd enode, children *[]enode) error {
 					continue
 				}
 			}
-			*children = append(*children, enode{comp: w.arena.Extend(c, ev), sv: w.stepChild(nd.sv, int32(pi), ai, a), par: self, mask: mask})
+			*children = append(*children, w.child(nd, self, &ev, int32(pi), qi, w.stepChild(nd.sv, int32(pi), ai, a), mask))
 		}
 	}
 	return nil
 }
 
-// emit appends nd, emitted as number num, to the worker's records and
-// interns its last event.
-func (w *worker) emit(nd enode, num int32) {
-	out := w.out
-	out.nodes = append(out.nodes, nd)
-	if len(w.e.outs) > 1 {
-		out.num = append(out.num, num)
+// child returns the frontier node for nd's computation, numbered self,
+// extended by ev on procs[pi] (with peer procs[qi], or qi = -1).
+func (w *worker) child(nd *enode, self int32, ev *trace.Event, pi, qi, sv int32, mask uint64) enode {
+	return enode{
+		record: record{hash: nd.hash.ExtendEvent(*ev), par: self, ev: w.internEvent(ev, pi, qi), sv: sv, n: nd.n + 1},
+		mask:   mask,
 	}
-	ev := int32(-1)
-	if last, ok := nd.comp.Last(); ok {
-		ev = out.events.intern(&last)
-	}
-	out.event = append(out.event, ev)
-	l := nd.comp.Len()
-	for len(out.lens) <= l {
-		out.lens = append(out.lens, 0)
-	}
-	out.lens[l]++
 }
 
-// symCanonical reports whether extending parent (whose support is mask)
+// internEvent returns ev's identifier in the shared event table,
+// through the worker's own cache.
+func (w *worker) internEvent(ev *trace.Event, pi, qi int32) int32 {
+	if id := w.local.intern(ev); int(id) < len(w.glob) {
+		return w.glob[id]
+	}
+	g := w.e.events.intern(ev, pi, qi)
+	w.glob = append(w.glob, g)
+	return g
+}
+
+// emit stores nd as emission number num.
+func (w *worker) emit(nd *enode, num int32) {
+	e := w.e
+	k := int(num) - e.base
+	*e.recs.slot(k) = nd.record
+	if e.grp != nil {
+		*e.masks.slot(k) = nd.mask
+	}
+	for len(w.lens) <= int(nd.n) {
+		w.lens = append(w.lens, 0)
+	}
+	w.lens[nd.n]++
+}
+
+// symCanonical reports whether extending the computation whose hash is
+// parent (and whose support is mask)
 // by ev yields the orbit-canonical child. The siblings competing with
 // c+ev are exactly {c + σ·ev : σ ∈ Stab(c)} — applying a stabilizer
 // element fixes the prefix and renames only the new event — and the
@@ -610,7 +741,7 @@ func (w *worker) emit(nd enode, num int32) {
 // pi and qi are the proc indexes of ev.Proc and ev.Peer (qi < 0 when
 // there is no peer that can move); k is ev's per-process sequence
 // number and j the per-sender message sequence number for sends.
-func (w *worker) symCanonical(parent *trace.Computation, mask uint64, ev trace.Event, pi, qi, k, j int32) bool {
+func (w *worker) symCanonical(parent trace.Hash128, mask uint64, ev trace.Event, pi, qi, k, j int32) bool {
 	e := w.e
 	stab := w.stabFor(mask)
 	if len(stab) == 0 {
@@ -627,7 +758,7 @@ func (w *worker) symCanonical(parent *trace.Computation, mask uint64, ev trace.E
 			continue // σ fixes the new event: the sibling is c+ev itself
 		}
 		if !hashed {
-			h = parent.Hash().ExtendEvent(ev)
+			h = parent.ExtendEvent(ev)
 			hashed = true
 		}
 		perm := e.grp.perms[gi]
@@ -642,7 +773,7 @@ func (w *worker) symCanonical(parent *trace.Computation, mask uint64, ev trace.E
 		// Strict less: on the ~2^-128 event of a full hash tie between
 		// distinct siblings both survive, and canonicalOrder fails the
 		// run on their equal (length, hash) with ErrHashCollision.
-		if parent.Hash().ExtendEvent(sev).Less(h) {
+		if parent.ExtendEvent(sev).Less(h) {
 			return false
 		}
 	}
@@ -667,52 +798,65 @@ func (w *worker) stabFor(mask uint64) []int32 {
 	return s
 }
 
-// supportMask recomputes a computation's support mask by walking its
-// chain; the engine uses it only to seed extension frontiers (fresh
-// nodes carry masks incrementally).
-func (e *engine) supportMask(c *trace.Computation) uint64 {
-	var mask uint64
-	for node := c; ; {
-		ev, ok := node.Last()
-		if !ok {
-			return mask
+// step returns the event identifier and parent of the computation
+// numbered num: from the base's columns below the seed size, from the
+// emission log above it. recs must be a directory snapshot that holds
+// num's record.
+func (e *engine) step(recs records, num int32) (ev, par int32) {
+	if int(num) < e.base {
+		ev, par = e.baseX.event[num], e.baseX.parent[num]
+		if ev >= 0 {
+			ev = e.baseEv[ev]
 		}
-		mask |= 1 << uint(e.procIdx[ev.Proc])
-		if ev.Peer != "" {
-			mask |= 1 << uint(e.procIdx[ev.Peer])
-		}
-		node = node.Parent()
+		return ev, par
 	}
+	r := recs.at(num - int32(e.base))
+	return r.ev, r.par
 }
 
-// loadChain recovers the expansion state of c into the worker's scratch
-// buffers with one allocation-free walk of the parent chain: per-process
-// event counts, per-process send counters, and the in-flight messages
-// (sends not received; the walk is backwards, so receives are seen
-// before their sends).
-func (w *worker) loadChain(c *trace.Computation) {
+// supportMask recomputes a base member's support mask by walking its
+// chain; the engine uses it only to seed extension frontiers (fresh
+// nodes carry masks incrementally).
+func (e *engine) supportMask(num int32) uint64 {
+	evs := e.events.table()
+	var mask uint64
+	for ev, par := e.step(nil, num); ev >= 0; ev, par = e.step(nil, par) {
+		mask |= 1 << uint(evs[ev].proc)
+		if q := evs[ev].peer; q >= 0 {
+			mask |= 1 << uint(q)
+		}
+	}
+	return mask
+}
+
+// loadChain recovers the expansion state of the computation numbered
+// num into the worker's scratch buffers with one allocation-free walk of
+// the parent numbers: per-process event counts, per-process send
+// counters, and the in-flight messages (sends not received; the walk is
+// backwards, so receives are seen before their sends).
+func (w *worker) loadChain(num int32) {
 	for i := range w.evCount {
 		w.evCount[i], w.nextMsg[i] = 0, 0
 	}
 	w.inflight = w.inflight[:0]
 	w.received = w.received[:0]
-	for node := c; ; {
-		ev, ok := node.Last()
-		if !ok {
-			break
-		}
-		pi := w.e.procIdx[ev.Proc]
-		w.evCount[pi]++
-		switch ev.Kind {
+	e := w.e
+	// Every record on the chain was written before num's node was
+	// queued, so these snapshots hold all of them.
+	w.events = e.events.table()
+	recs := records(e.recs.chunks())
+	for ev, par := e.step(recs, num); ev >= 0; ev, par = e.step(recs, par) {
+		ee := &w.events[ev]
+		w.evCount[ee.proc]++
+		switch ee.Kind {
 		case trace.KindSend:
-			w.nextMsg[pi]++
-			if !w.sawReceive(ev.Msg) {
+			w.nextMsg[ee.proc]++
+			if !w.sawReceive(ee.Msg) {
 				w.inflight = append(w.inflight, ev)
 			}
 		case trace.KindReceive:
-			w.received = append(w.received, ev.Msg)
+			w.received = append(w.received, ee.Msg)
 		}
-		node = node.Parent()
 	}
 }
 

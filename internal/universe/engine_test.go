@@ -1,6 +1,8 @@
 package universe
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"hpl/internal/trace"
@@ -90,6 +92,45 @@ func TestProgressReporting(t *testing.T) {
 		final := snaps[len(snaps)-1]
 		if final.Explored != u.Len() {
 			t.Fatalf("workers=%d: final Explored = %d, universe = %d", workers, final.Explored, u.Len())
+		}
+	}
+}
+
+// TestBuildsMakeNoViews pins that no route to a universe — enumeration,
+// extension, a snapshot load — builds a member's computation, and
+// neither do the consumers that read the columns instead: partition
+// tables, the transition graph, stock atoms' history sums, membership
+// probes and the snapshot writer. Views appear only once At is called.
+func TestBuildsMakeNoViews(t *testing.T) {
+	p := NewFree(FreeConfig{Procs: []trace.ProcID{"p", "q"}, MaxSends: 1})
+	base := MustEnumerateWith(p, WithMaxEvents(3), WithParallelism(2))
+	ext, err := Extend(base, WithMaxEvents(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, ext, "digest"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := trace.NewBuilder().Send("p", "q", "m").MustBuild()
+	for name, u := range map[string]*Universe{"enumerated": base, "extended": ext, "loaded": loaded} {
+		u.Partition(trace.Singleton("q"))
+		u.Transitions()
+		u.HistorySums(func(trace.Event) int32 { return 1 })
+		u.Contains(probe)
+		if err := WriteSnapshot(io.Discard, u, "digest"); err != nil {
+			t.Fatal(err)
+		}
+		if u.views != nil {
+			t.Errorf("%s universe built member views without an At call", name)
+		}
+		u.At(u.Len() - 1)
+		if u.views == nil {
+			t.Errorf("%s universe: At built no view", name)
 		}
 	}
 }

@@ -17,11 +17,12 @@ var ErrCannotExtend = errors.New("universe: cannot extend")
 // only the length-n members have unexplored extensions; Extend queues
 // exactly those, with their interned local-state vectors recovered from
 // the enumeration (or snapshot) that built u, and runs the ordinary
-// worker pool over the new frontier. Old members are shared
-// structurally (the persistent prefix tree needs no copying) and the
-// result is byte-identical — member order, Partition tables,
-// Transitions graph — to a from-scratch EnumerateWith at the larger
-// bound; the differential tests in extend_test.go hold it to that.
+// worker pool over the new frontier. The engine reads old members from
+// u's columns by member number, the new universe's columns begin with
+// a copy of u's, and the result is byte-identical — member order,
+// Partition tables, Transitions graph — to a from-scratch EnumerateWith
+// at the larger bound; the differential tests in extend_test.go hold it
+// to that.
 //
 // Options are interpreted exactly as for EnumerateWith against the
 // target bound: WithMaxEvents names the new bound (it must be ≥ u's;

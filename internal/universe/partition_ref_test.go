@@ -43,14 +43,13 @@ func referenceQuotientPartition(u *Universe, p trace.ProcSet) ReferenceTable {
 	n := u.Len()
 	ref := ReferenceTable{ClassID: make([]int32, n), ByKey: make(map[string]int32)}
 	elems := u.sym.elements()
-	var arena trace.Arena
 	for i := 0; i < n; i++ {
 		c := u.At(i)
 		keys := []string{c.ProjectionKey(p)}
 		for _, sigma := range elems {
 			rc := trace.Empty()
 			for e := 0; e < c.Len(); e++ {
-				rc = arena.Extend(rc, renameEvent(c.At(e), sigma))
+				rc = trace.Extend(rc, renameEvent(c.At(e), sigma))
 			}
 			k := rc.ProjectionKey(p)
 			dup := false

@@ -13,10 +13,12 @@ import (
 // one event, so this is all the partition builder and the transition
 // graph need — neither touches a member's event history again.
 //
-// The enumeration engine hands each universe it builds its index (see
-// engine.canonicalize); other universes build theirs once, on first use
-// (Universe.prefixIndex). The index is immutable afterwards, so
-// concurrent partition builds share it.
+// Enumerated and snapshot-loaded universes are born with their index —
+// the engine builds it from its emission records (see
+// engine.canonicalize) and the loader from the file — and it is, with
+// the hash and length columns, their storage. New universes build
+// theirs once, on first use (Universe.prefixIndex). The index is
+// immutable afterwards, so concurrent partition builds share it.
 type prefixIndex struct {
 	// parent[j] is the member index of j's prefix, or -1 when j is the
 	// null computation or its prefix is not a member.
@@ -39,33 +41,30 @@ type prefixIndex struct {
 }
 
 // prefixIndex returns the universe's prefix index, building it on first
-// use; enumerated universes are born with theirs. Concurrent callers
-// share one build, which a trace records as the prefix.index phase.
+// use for New universes; sorted universes are born with theirs.
+// Concurrent callers share one build, which a trace records as the
+// prefix.index phase.
 func (u *Universe) prefixIndex() *prefixIndex {
 	u.prefixOnce.Do(func() {
 		sp := u.tr.Start("prefix.index")
-		u.prefix = newPrefixIndex(u, u.parents)
+		u.prefix = newPrefixIndex(u)
 		phasePrefixIndex.ObserveDuration(sp.End())
 	})
 	return u.prefix
 }
 
 // newPrefixIndex interns every member's last event, in member order,
-// and takes its parents from parents when given — the snapshot loader
-// decodes them — or resolves each through IndexOf otherwise. It is the
-// reference the engine's handed-over index is tested against.
-func newPrefixIndex(u *Universe, parents []int32) *prefixIndex {
+// and resolves each member's parent through IndexOf. It builds the
+// index of New universes, and is the reference the engine's and the
+// snapshot loader's indexes are tested against.
+func newPrefixIndex(u *Universe) *prefixIndex {
 	n := u.Len()
-	x := &prefixIndex{parent: parents, event: make([]int32, n)}
-	if parents == nil {
-		x.parent = make([]int32, n)
-	}
-	for j, c := range u.comps {
-		if parents == nil {
-			x.parent[j] = -1
-			if p := c.Parent(); p != nil {
-				x.parent[j] = int32(u.IndexOf(p))
-			}
+	x := &prefixIndex{parent: make([]int32, n), event: make([]int32, n)}
+	for j := range n {
+		c := u.At(j)
+		x.parent[j] = -1
+		if p := c.Parent(); p != nil {
+			x.parent[j] = int32(u.IndexOf(p))
 		}
 		last, ok := c.Last()
 		if !ok {
@@ -92,7 +91,7 @@ func newPrefixIndex(u *Universe, parents []int32) *prefixIndex {
 			x.order[i] = int32(i)
 		}
 		sort.SliceStable(x.order, func(a, b int) bool {
-			return u.comps[x.order[a]].Len() < u.comps[x.order[b]].Len()
+			return u.length[x.order[a]] < u.length[x.order[b]]
 		})
 	}
 	return x

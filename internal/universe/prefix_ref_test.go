@@ -5,15 +5,15 @@ import (
 	"slices"
 )
 
-// PrefixIndexMismatch differences u's prefix index — handed over by the
-// engine, or built from decoded parents — against the reference
-// newPrefixIndex(u, nil), which resolves every parent through IndexOf
+// PrefixIndexMismatch differences u's prefix index — built by the engine
+// or decoded by the snapshot loader — against the reference
+// newPrefixIndex(u), which resolves every parent through IndexOf
 // and interns every event afresh in member order. It describes the
 // first difference, or returns "" when the two are identical: the same
 // parents, the same event identifiers, the same event table in the same
 // order and probe layout, and the same parent-first order.
 func PrefixIndexMismatch(u *Universe) string {
-	got, want := u.prefixIndex(), newPrefixIndex(u, nil)
+	got, want := u.prefixIndex(), newPrefixIndex(u)
 	switch {
 	case !slices.Equal(got.parent, want.parent):
 		return diffAt("parent", got.parent, want.parent)

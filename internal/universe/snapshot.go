@@ -43,8 +43,9 @@ import (
 //	           computation), the last event in the trace binary event
 //	           encoding (absent for null), and the state-vector ref.
 //	           Storing one event per member is the prefix tree
-//	           flattened: the loader rebuilds each member in O(1) from
-//	           its already-loaded parent, hashes re-derived as it goes.
+//	           flattened, which is the universe's own storage: the
+//	           loader decodes straight into the parent, event, hash and
+//	           length columns, re-deriving each hash from the parent's.
 //	trans    — flag byte; when 1, per member: parent index +1 and edge
 //	           label proc ref +1. Only the reverse relation is stored;
 //	           the CSR forward adjacency is a counting sort at load.
@@ -139,22 +140,20 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 		}
 	}
 
-	// Members: parent index + last event + state vector. Sorted
-	// universes know their parents from construction.
-	parents := u.parents
+	// Members: parent index + last event + state vector, read from the
+	// prefix index sorted universes are born with.
+	x := u.prefixIndex()
 	body = binary.AppendUvarint(body, uint64(u.Len()))
 	for i := 0; i < u.Len(); i++ {
-		c := u.At(i)
-		if c.Len() == 0 {
+		if ev := x.event[i]; ev < 0 {
 			body = binary.AppendUvarint(body, 0)
 		} else {
-			pi := int(parents[i])
+			pi := int(x.parent[i])
 			if pi < 0 || pi >= i {
 				return fmt.Errorf("universe: snapshot: member %d's prefix is not an earlier member (universe not prefix closed)", i)
 			}
 			body = binary.AppendUvarint(body, uint64(pi)+1)
-			last, _ := c.Last()
-			body = trace.AppendEventBinary(body, last, tab)
+			body = trace.AppendEventBinary(body, x.events[ev], tab)
 		}
 		body = binary.AppendUvarint(body, newSV[i])
 	}
@@ -314,20 +313,24 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 		vecs = append(vecs, v)
 	}
 
-	// Members. Each is its parent (already loaded: parents precede
-	// children in canonical order) extended by one event; hashes are
-	// re-derived by that construction, not trusted from the file.
+	// Members, decoded straight into the columns. Each is its parent
+	// (already loaded: parents precede children in canonical order)
+	// extended by one event; hashes and lengths are re-derived from the
+	// parent's, not trusted from the file, and events are interned in
+	// member order, as newPrefixIndex would.
 	nmem := sr.count(min(sr.rem(), math.MaxInt32))
-	comps := make([]*trace.Computation, 0, nmem)
-	parents := make([]int32, 0, nmem)
+	hash := make([]trace.Hash128, 0, nmem)
+	length := make([]int32, 0, nmem)
+	x := &prefixIndex{parent: make([]int32, 0, nmem), event: make([]int32, 0, nmem)}
 	svs := make([]int32, 0, nmem)
-	var arena trace.Arena
 	for i := 0; i < nmem && sr.err == nil; i++ {
 		pref := sr.uvarint()
-		parents = append(parents, int32(pref)-1)
 		switch {
 		case pref == 0:
-			comps = append(comps, trace.Empty())
+			hash = append(hash, trace.Empty().Hash())
+			length = append(length, 0)
+			x.parent = append(x.parent, -1)
+			x.event = append(x.event, -1)
 		case pref > uint64(i):
 			sr.fail("member %d's parent reference %d is not an earlier member", i, pref-1)
 		default:
@@ -337,7 +340,10 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 				break
 			}
 			sr.off += n
-			comps = append(comps, arena.Extend(comps[pref-1], ev))
+			hash = append(hash, hash[pref-1].ExtendEvent(ev))
+			length = append(length, length[pref-1]+1)
+			x.parent = append(x.parent, int32(pref-1))
+			x.event = append(x.event, x.intern(&ev))
 		}
 		if sv := sr.uvarint(); sr.err == nil {
 			if sv >= uint64(len(vecs)) {
@@ -350,9 +356,8 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	// Canonical order is asserted by the writer; re-verify it rather
 	// than trusting the file, since everything downstream (Transitions
 	// identity order, Extend's concatenation) leans on it.
-	for i := 1; i < len(comps) && sr.err == nil; i++ {
-		a, b := comps[i-1], comps[i]
-		if a.Len() > b.Len() || (a.Len() == b.Len() && !a.Hash().Less(b.Hash())) {
+	for i := 1; i < len(hash) && sr.err == nil; i++ {
+		if length[i-1] > length[i] || (length[i-1] == length[i] && !hash[i-1].Less(hash[i])) {
 			sr.fail("members %d and %d out of canonical order", i-1, i)
 		}
 	}
@@ -361,11 +366,10 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	}
 
 	// The strict canonical order just verified implies the members are
-	// pairwise distinct, so wrap them directly; the hash index (like the
-	// projection-key indexes) rebuilds lazily if the workload probes it.
-	// The decoded parent references seed the prefix index, so partition
-	// and transition builds never resolve parents through the hash index.
-	u := newSorted(comps, trace.NewProcSet(procIDs...), parents)
+	// pairwise distinct, so wrap the columns directly; the hash index
+	// (like the projection-key indexes) rebuilds lazily if the workload
+	// probes it.
+	u := newSorted(hash, length, x, trace.NewProcSet(procIDs...))
 	u.maxEvents = int(maxEvents)
 	u.states = newStateTableFrom(vecs)
 	u.memberSV = svs

@@ -322,10 +322,9 @@ func renameEvent(ev trace.Event, sigma map[trace.ProcID]trace.ProcID) trace.Even
 
 // renameComputation applies a process renaming to every event of c.
 func renameComputation(c *trace.Computation, sigma map[trace.ProcID]trace.ProcID) *trace.Computation {
-	var arena trace.Arena
 	rc := trace.Empty()
 	for _, ev := range c.Events() {
-		rc = arena.Extend(rc, renameEvent(ev, sigma))
+		rc = trace.Extend(rc, renameEvent(ev, sigma))
 	}
 	return rc
 }

@@ -5,6 +5,13 @@
 // sampled, which is what makes the theorem checks in this repository
 // meaningful model checks instead of statistical tests.
 //
+// A Universe stores its members as columns with no pointers in them:
+// each member's hash, length and interned state vector, and the prefix
+// index — each member's parent and interned last event. The
+// enumeration engine and the snapshot loader build those columns
+// directly, without a trace.Computation per member; At builds a
+// member's computation from them only when a caller asks for it.
+//
 // A Universe decomposes into dense partition tables (see Partition), one
 // per process set: the isomorphism class of x with respect to P is an
 // array index rather than a scan or a string-map probe. Every table is
@@ -38,8 +45,22 @@ var ErrTooLarge = errors.New("universe: enumeration exceeds cap")
 
 // Universe is an immutable set of distinct computations of one system,
 // together with the set D of all processes of that system.
+//
+// Its storage is columns with no pointers for the garbage collector to
+// scan: each member's hash and length here, and its parent and interned
+// last event in the prefix index. At builds a member's
+// trace.Computation from those columns on first use; see At.
 type Universe struct {
-	comps []*trace.Computation
+	// hash and length are the members' 128-bit canonical hashes and
+	// event counts, in member order.
+	hash   []trace.Hash128
+	length []int32
+	// views caches the member computations At has built, one atomic slot
+	// per member. Enumerated and snapshot-loaded universes allocate it on
+	// the first At; New fills every slot with the computations it was
+	// given.
+	views     []atomic.Pointer[trace.Computation]
+	viewsOnce sync.Once
 	// byHash indexes members by their 128-bit canonical hash. No string
 	// keys are retained: membership and class lookups discriminate on
 	// (hash, length), which separates distinct computations up to the
@@ -47,30 +68,25 @@ type Universe struct {
 	// checks the part of it this index leans on: two members of one
 	// length with equal hashes fail the run with ErrHashCollision, and
 	// snapshot loads reject them as out of order. New builds it eagerly
-	// (it doubles as the dedup pass); newSorted universes build it
-	// lazily under hashOnce on first IndexOf, so enumeration and
-	// snapshot loads never pay for an index the workload may not probe.
+	// (it doubles as the dedup pass); sorted universes build it lazily
+	// under hashOnce on first IndexOf, so enumeration and snapshot loads
+	// never pay for an index the workload may not probe.
 	byHash   map[trace.Hash128]int32
 	hashOnce sync.Once
 	all      trace.ProcSet
 	// sorted records that members are in canonical (length, hash)
-	// order — set by the enumeration engine and snapshot loads, and used
-	// to skip the parent-first re-sort when building the prefix index.
+	// order and prefix closed — set by the enumeration engine and
+	// snapshot loads, which hand the universe its prefix index.
 	sorted bool
 	// parts caches the [P]-partition table per P.Key(); see Partition.
 	// Built on first use, safe under concurrent evaluators.
 	parts sync.Map
-	// prefix is the flattened prefix tree every partition build and the
-	// transition graph read; see prefixIndex. The enumeration engine
-	// hands it over with the universe; otherwise it is built once on
-	// first use. parents holds each member's parent index on sorted
-	// universes, whose constructors know them (the engine and the
-	// snapshot loader), so that build only interns events and the
-	// snapshot writer needs no index; nil for New universes, whose
-	// parents the build resolves through the hash index.
+	// prefix is the flattened prefix tree: each member's parent and
+	// interned last event. Sorted universes are born with it; New
+	// universes build it once on first use. Every partition build, the
+	// transition graph, the snapshot writer and At read it.
 	prefixOnce sync.Once
 	prefix     *prefixIndex
-	parents    []int32
 	// trans caches the prefix-extension transition graph; see
 	// Transitions. Built on first use, shared by concurrent evaluators.
 	// The atomic pointer is published inside the once so concurrent
@@ -114,54 +130,100 @@ type Universe struct {
 }
 
 // New builds a universe from the given computations (duplicates by
-// sequence identity are dropped) with D = all.
+// sequence identity are dropped) with D = all. The computations are the
+// members' views: At returns them as given.
 func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 	u := &Universe{
 		byHash:    make(map[trace.Hash128]int32, len(comps)),
 		all:       all,
 		maxEvents: -1,
 	}
+	var kept []*trace.Computation
 	for _, c := range comps {
 		if _, dup := u.byHash[c.Hash()]; dup {
 			continue
 		}
-		u.byHash[c.Hash()] = int32(len(u.comps))
-		u.comps = append(u.comps, c)
+		u.byHash[c.Hash()] = int32(len(kept))
+		kept = append(kept, c)
+		u.hash = append(u.hash, c.Hash())
+		u.length = append(u.length, int32(c.Len()))
+	}
+	u.views = make([]atomic.Pointer[trace.Computation], len(kept))
+	for i, c := range kept {
+		u.views[i].Store(c)
 	}
 	return u
 }
 
-// newSorted wraps members that are already in canonical (length, hash)
-// order and known distinct — the enumeration engine's and the snapshot
-// loader's output — with parents[j] the member index of member j's
-// prefix (-1 for the null computation). It skips New's dedup pass; the
-// hash index is built lazily on first IndexOf.
-func newSorted(comps []*trace.Computation, all trace.ProcSet, parents []int32) *Universe {
-	return &Universe{
-		comps:     comps,
+// newSorted wraps columns that are already in canonical (length, hash)
+// order, distinct and prefix closed — the enumeration engine's and the
+// snapshot loader's output — with x their prefix index. It skips New's
+// dedup pass; the hash index is built lazily on first IndexOf.
+func newSorted(hash []trace.Hash128, length []int32, x *prefixIndex, all trace.ProcSet) *Universe {
+	u := &Universe{
+		hash:      hash,
+		length:    length,
 		all:       all,
 		sorted:    true,
-		parents:   parents,
 		maxEvents: -1,
 	}
+	u.prefixOnce.Do(func() { u.prefix = x })
+	return u
 }
 
 func (u *Universe) buildHashIndex() {
 	if u.byHash != nil {
 		return
 	}
-	idx := make(map[trace.Hash128]int32, len(u.comps))
-	for i, c := range u.comps {
-		idx[c.Hash()] = int32(i)
+	idx := make(map[trace.Hash128]int32, len(u.hash))
+	for i, h := range u.hash {
+		idx[h] = int32(i)
 	}
 	u.byHash = idx
 }
 
 // Len reports the number of distinct computations.
-func (u *Universe) Len() int { return len(u.comps) }
+func (u *Universe) Len() int { return len(u.hash) }
 
-// At returns the i-th computation.
-func (u *Universe) At(i int) *trace.Computation { return u.comps[i] }
+// At returns the i-th computation. Enumerated and snapshot-loaded
+// universes build it from the columns on first use, extending the
+// parent member's computation by the last event, and cache it, so
+// At(i).Parent() is At(parent of i) and repeated calls return the same
+// pointer. Concurrent callers are safe and agree on the result.
+func (u *Universe) At(i int) *trace.Computation {
+	u.viewsOnce.Do(func() {
+		if u.views == nil {
+			u.views = make([]atomic.Pointer[trace.Computation], len(u.hash))
+		}
+	})
+	if c := u.views[i].Load(); c != nil {
+		return c
+	}
+	// Only sorted universes reach here (New fills every slot), and they
+	// are prefix closed: walk up to the nearest built ancestor, then
+	// build down, publishing each node before its child is built on it.
+	x := u.prefixIndex()
+	var buf [16]int32
+	path := buf[:0]
+	c := trace.Empty()
+	for j := int32(i); j >= 0; j = x.parent[j] {
+		if v := u.views[j].Load(); v != nil {
+			c = v
+			break
+		}
+		path = append(path, j)
+	}
+	for k := len(path) - 1; k >= 0; k-- {
+		j := path[k]
+		if ev := x.event[j]; ev >= 0 {
+			c = trace.Extend(c, x.events[ev])
+		}
+		if !u.views[j].CompareAndSwap(nil, c) {
+			c = u.views[j].Load()
+		}
+	}
+	return c
+}
 
 // All returns D, the set of all processes of the system.
 func (u *Universe) All() trace.ProcSet { return u.all }
@@ -170,7 +232,7 @@ func (u *Universe) All() trace.ProcSet { return u.all }
 // -1 when it is not a member.
 func (u *Universe) IndexOf(c *trace.Computation) int {
 	u.hashOnce.Do(u.buildHashIndex)
-	if i, ok := u.byHash[c.Hash()]; ok && u.comps[i].Len() == c.Len() {
+	if i, ok := u.byHash[c.Hash()]; ok && int(u.length[i]) == c.Len() {
 		return int(i)
 	}
 	return -1
@@ -184,7 +246,7 @@ func (u *Universe) Initial() int {
 	if !u.sorted {
 		return u.IndexOf(trace.Empty())
 	}
-	if len(u.comps) > 0 && u.comps[0].Len() == 0 {
+	if len(u.length) > 0 && u.length[0] == 0 {
 		return 0
 	}
 	return -1
@@ -226,18 +288,20 @@ func (u *Universe) ClassRef(x *trace.Computation, p trace.ProcSet) []int {
 // cross-checking the index in tests.
 func (u *Universe) ClassScan(x *trace.Computation, p trace.ProcSet) []int {
 	var out []int
-	for i, c := range u.comps {
-		if x.IsomorphicTo(c, p) {
+	for i := range u.Len() {
+		if x.IsomorphicTo(u.At(i), p) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// Computations returns a copy of the member slice.
+// Computations returns every member's computation, in member order.
 func (u *Universe) Computations() []*trace.Computation {
-	cp := make([]*trace.Computation, len(u.comps))
-	copy(cp, u.comps)
+	cp := make([]*trace.Computation, u.Len())
+	for i := range cp {
+		cp[i] = u.At(i)
+	}
 	return cp
 }
 
@@ -317,7 +381,7 @@ func (u *Universe) setOrbits(sym *Symmetry, orbs []int64) error {
 // universes, the sum of the members' orbit sizes for quotients.
 func (u *Universe) FullSize() int64 {
 	if u.sym == nil {
-		return int64(len(u.comps))
+		return int64(u.Len())
 	}
 	return u.fullSize
 }
