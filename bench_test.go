@@ -755,7 +755,7 @@ func BenchmarkAblationPartitionTable(b *testing.B) {
 }
 
 // BenchmarkTransitionGraph measures building the prefix-extension
-// transition graph (CSR arenas + topological order) on the ≥10k-member
+// transition graph (labels + child ranges + topological order) on the ≥10k-member
 // universe — the one-time cost the temporal layer pays per universe.
 func BenchmarkTransitionGraph(b *testing.B) {
 	u := ablationUniverseLarge(b)

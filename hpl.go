@@ -157,7 +157,7 @@ func WithContext(ctx context.Context) EnumOption { return universe.WithContext(c
 func WithProgress(fn func(EnumProgress)) EnumOption { return universe.WithProgress(fn) }
 
 // Trace accumulates named per-phase wall times for a build (frontier
-// expansion, canonical sort, partition/transition construction,
+// expansion, column assembly, partition/transition construction,
 // snapshot encode, symmetry filtering). Attach one with WithTrace and
 // print Trace.String for the breakdown (`mck -trace` does exactly
 // this). A nil *Trace is valid everywhere and records nothing.

@@ -85,3 +85,24 @@ func TestParseNestingBound(t *testing.T) {
 		}
 	}
 }
+
+// TestParseReadsLazily bounds what rejecting deep nesting costs: the
+// parser pulls tokens as it needs them, so a 1 MiB body of negations
+// fails at the recursion bound having tokenized only its first few
+// thousand bytes, and allocates far less than the body's size.
+func TestParseReadsLazily(t *testing.T) {
+	body := strings.Repeat("!", 1<<20)
+	v := vocab()
+	if _, err := Parse(body, v); !errors.Is(err, ErrNesting) {
+		t.Fatalf("err = %v, want ErrNesting", err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			Parse(body, v)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Fatalf("Parse of a 1 MiB body allocates %d bytes, want under 1 MiB", got)
+	}
+}

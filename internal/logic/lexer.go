@@ -145,90 +145,92 @@ func (t token) describe() string {
 	}
 }
 
-// lex tokenizes the input, returning a descriptive error with byte
-// position on unexpected characters.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(input) {
-		c := rune(input[i])
-		switch {
-		case unicode.IsSpace(c):
-			i++
-		case c == '!':
-			toks = append(toks, token{tokNot, "!", i})
-			i++
-		case c == '&':
-			toks = append(toks, token{tokAnd, "&", i})
-			i++
-		case c == '|':
-			toks = append(toks, token{tokOr, "|", i})
-			i++
-		case c == '(':
-			toks = append(toks, token{tokLParen, "(", i})
-			i++
-		case c == ')':
-			toks = append(toks, token{tokRParen, ")", i})
-			i++
-		case c == '{':
-			toks = append(toks, token{tokLBrace, "{", i})
-			i++
-		case c == '}':
-			toks = append(toks, token{tokRBrace, "}", i})
-			i++
-		case c == ',':
-			toks = append(toks, token{tokComma, ",", i})
-			i++
-		case c == '[':
-			if i+1 < len(input) && input[i+1] == ']' {
-				toks = append(toks, token{tokBox, "[]", i})
-				i += 2
-			} else {
-				toks = append(toks, token{tokLBracket, "[", i})
-				i++
-			}
-		case c == ']':
-			toks = append(toks, token{tokRBracket, "]", i})
-			i++
-		case c == '<':
-			if i+1 < len(input) && input[i+1] == '>' {
-				toks = append(toks, token{tokDiamond, "<>", i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("logic: position %d: '<' must begin '<>'", i)
-			}
-		case c == '-':
-			if i+1 < len(input) && input[i+1] == '>' {
-				toks = append(toks, token{tokImplies, "->", i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("logic: position %d: '-' must begin '->'", i)
-			}
-		case c == '"':
-			end := strings.IndexByte(input[i+1:], '"')
-			if end < 0 {
-				return nil, fmt.Errorf("logic: position %d: unterminated quoted atom", i)
-			}
-			toks = append(toks, token{tokString, input[i+1 : i+1+end], i})
-			i += end + 2
-		case isIdentStart(c):
-			j := i + 1
-			for j < len(input) && isIdentPart(rune(input[j])) {
-				j++
-			}
-			word := input[i:j]
-			kind := tokIdent
-			if k, ok := reservedWords[word]; ok {
-				kind = k
-			}
-			toks = append(toks, token{kind, word, i})
-			i = j
-		default:
-			return nil, fmt.Errorf("logic: position %d: unexpected character %q", i, c)
-		}
+// lexer hands out the input's tokens one at a time, as the parser asks
+// for them, so input past the point where parsing fails — a formula
+// nested past MaxNesting, say — is never tokenized. On an unexpected
+// character it records a descriptive error with the byte position in
+// err and reports end of input from then on.
+type lexer struct {
+	input string
+	i     int
+	err   error
+}
+
+// next returns the next token.
+func (l *lexer) next() token {
+	for l.i < len(l.input) && unicode.IsSpace(rune(l.input[l.i])) {
+		l.i++
 	}
-	toks = append(toks, token{tokEOF, "", len(input)})
-	return toks, nil
+	i, input := l.i, l.input
+	if i == len(input) {
+		return token{tokEOF, "", i}
+	}
+	tok := func(k tokenKind, text string) token {
+		l.i += len(text)
+		return token{k, text, i}
+	}
+	switch c := rune(input[i]); {
+	case c == '!':
+		return tok(tokNot, "!")
+	case c == '&':
+		return tok(tokAnd, "&")
+	case c == '|':
+		return tok(tokOr, "|")
+	case c == '(':
+		return tok(tokLParen, "(")
+	case c == ')':
+		return tok(tokRParen, ")")
+	case c == '{':
+		return tok(tokLBrace, "{")
+	case c == '}':
+		return tok(tokRBrace, "}")
+	case c == ',':
+		return tok(tokComma, ",")
+	case c == '[':
+		if strings.HasPrefix(input[i:], "[]") {
+			return tok(tokBox, "[]")
+		}
+		return tok(tokLBracket, "[")
+	case c == ']':
+		return tok(tokRBracket, "]")
+	case c == '<':
+		if strings.HasPrefix(input[i:], "<>") {
+			return tok(tokDiamond, "<>")
+		}
+		return l.fail("logic: position %d: '<' must begin '<>'", i)
+	case c == '-':
+		if strings.HasPrefix(input[i:], "->") {
+			return tok(tokImplies, "->")
+		}
+		return l.fail("logic: position %d: '-' must begin '->'", i)
+	case c == '"':
+		end := strings.IndexByte(input[i+1:], '"')
+		if end < 0 {
+			return l.fail("logic: position %d: unterminated quoted atom", i)
+		}
+		l.i += end + 2
+		return token{tokString, input[i+1 : i+1+end], i}
+	case isIdentStart(c):
+		j := i + 1
+		for j < len(input) && isIdentPart(rune(input[j])) {
+			j++
+		}
+		word := input[i:j]
+		kind := tokIdent
+		if k, ok := reservedWords[word]; ok {
+			kind = k
+		}
+		return tok(kind, word)
+	default:
+		return l.fail("logic: position %d: unexpected character %q", i, c)
+	}
+}
+
+// fail records the error and ends the input.
+func (l *lexer) fail(format string, args ...any) token {
+	l.err = fmt.Errorf(format, args...)
+	l.i = len(l.input)
+	return token{tokEOF, "", l.i}
 }
 
 // wordToken reports whether t lexed from an identifier-shaped spelling

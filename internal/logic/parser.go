@@ -34,14 +34,17 @@ const MaxNesting = 1000
 var ErrNesting = errors.New("formula nests too deeply")
 
 // Parse parses the input into an epistemic formula, resolving atoms
-// against the vocabulary.
+// against the vocabulary. Tokens are read as the parser needs them, so
+// a formula that fails early costs no more than its prefix.
 func Parse(input string, vocab Vocabulary) (knowledge.Formula, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, vocab: vocab}
+	p := &parser{lx: lexer{input: input}, vocab: vocab}
+	p.tok = p.lx.next()
 	f, _, err := p.formula()
+	if p.lx.err != nil {
+		// The parser read the failed token as the end of input, so a
+		// lexical error is the cause of whatever followed it.
+		return nil, p.lx.err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -62,19 +65,20 @@ func MustParse(input string, vocab Vocabulary) knowledge.Formula {
 }
 
 type parser struct {
-	toks  []token
-	pos   int
+	lx lexer
+	// tok is the lookahead token.
+	tok   token
 	vocab Vocabulary
 	// calls counts the nested unary and implication calls in progress.
 	calls int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.tok = p.lx.next()
 	}
 	return t
 }

@@ -327,3 +327,53 @@ func TestServerReportsSource(t *testing.T) {
 		t.Errorf("health does not report the snapshot hit: %+v", h)
 	}
 }
+
+// TestRetiredSnapshotVersionRebuilt: a snapshot of a retired codec
+// version in the snapshot directory — here a current file relabelled
+// version 2 — is a miss, never a failed request. The server answers
+// from a build, reports "source": "build", and replaces the file with
+// one the current codec reads.
+func TestRetiredSnapshotVersionRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{SnapshotDir: dir}
+	reg := NewRegistry(cfg)
+	first, _, err := reg.Get(context.Background(), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := reg.snapshotPath(first.Digest)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[6] = 2 // the version byte follows the 6-byte magic
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(NewServer(NewRegistry(cfg)))
+	defer ts.Close()
+	cl := &Client{Base: ts.URL, HTTPClient: ts.Client()}
+	st, err := cl.UniverseStats(context.Background(), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Source != SourceBuild {
+		t.Errorf("source over a version-2 file = %q, want %q", st.Source, SourceBuild)
+	}
+	resp, err := cl.Check(context.Background(), testSpec, `K{q} "sent(p,m)" -> "sent(p,m)"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := resp.Results[0]; r.Error != "" || !r.Valid {
+		t.Errorf("check over the rebuilt universe: %+v", r)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("rebuild did not re-persist: %v", err)
+	}
+	defer f.Close()
+	if _, _, err := hpl.ReadSnapshot(bufio.NewReader(f)); err != nil {
+		t.Errorf("re-persisted snapshot does not decode: %v", err)
+	}
+}

@@ -12,9 +12,9 @@ import "math/bits"
 // materializing their string keys.
 //
 // Distinct sequences collide with probability ~2^-128 per pair. The
-// engine orders members by (length, hash) and fails the enumeration
-// with universe.ErrHashCollision if two members of one length share a
-// hash.
+// engine orders siblings by hash and fails the enumeration with
+// universe.ErrHashCollision if two of them share one; a universe's hash
+// index fails the same way on two members of one length.
 type Hash128 struct {
 	Hi, Lo uint64
 }
@@ -74,8 +74,8 @@ func (h Hash128) ExtendEvent(e Event) Hash128 {
 	return Hash128{Hi: hi, Lo: lo ^ (hi >> 32)}
 }
 
-// Less orders hashes lexicographically by (Hi, Lo). It is the tiebreak
-// the canonical (length, hash) member order sorts by.
+// Less orders hashes lexicographically by (Hi, Lo). It is the order
+// the universe's member order sorts siblings by.
 func (h Hash128) Less(o Hash128) bool {
 	if h.Hi != o.Hi {
 		return h.Hi < o.Hi

@@ -3,7 +3,6 @@ package universe
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"hpl/internal/trace"
 )
@@ -11,70 +10,68 @@ import (
 // ErrHashCollision reports two distinct computations of one length with
 // equal 128-bit canonical hashes. Distinct sequences collide with
 // probability ~2^-128 per pair, and no collision has ever been
-// observed; canonicalOrder checks every enumeration for one all the
-// same, because the universe's hash index could not tell the two apart.
+// observed; the universe checks for one all the same, because its
+// sibling order and its hash index could not tell the two apart.
+// Siblings are checked where they are sorted (sortSiblings, and the
+// snapshot loader's sibling-order check), every other pair where the
+// hash index is built (see Universe.IndexOf).
 var ErrHashCollision = errors.New("universe: 128-bit canonical hash collision")
 
-// canonicalize turns the drained pool's emission log into the
-// universe. The engine's search tree is the universe's prefix tree, so
-// the universe's columns are born here: one pass over the records in
-// canonical order fills each member's hash, length, state vector and
-// orbit size, and its parent and interned last event in the prefix
-// index.
-//
-// Records are addressed by emission number, less the seed's size, so a
-// record's par names its parent's record (or, below the seed's size, a
-// base member). The index is identical to what newPrefixIndex would
-// build over the finished universe: the same parents, and events
-// numbered by first occurrence in member order, which is the order
-// newPrefixIndex interns in.
-func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, error) {
-	base := e.base
-	var lens []int32
-	for _, wl := range e.lens {
-		for l, c := range wl {
-			for len(lens) <= l {
-				lens = append(lens, 0)
+// sortSiblings puts one parent's children in hash order with an
+// insertion sort — a parent has a handful of children. The children are
+// distinct computations (see the engine.go header), so a full 128-bit
+// tie between two of them is a hash collision, and sortSiblings fails
+// with ErrHashCollision, naming both by key, rather than order the pair.
+func sortSiblings(kids []record, key func(i int) string) error {
+	for a := 1; a < len(kids); a++ {
+		for b := a; b > 0; b-- {
+			if kids[b].hash == kids[b-1].hash {
+				return fmt.Errorf("%w: %q vs %q", ErrHashCollision, key(b-1), key(b))
 			}
-			lens[l] += c
+			if !kids[b].hash.Less(kids[b-1].hash) {
+				break
+			}
+			kids[b], kids[b-1] = kids[b-1], kids[b]
 		}
 	}
-	nrec := int(e.emitted.Load()) - base
-	recs := records(e.recs.chunks())
-	masks := e.masks.chunks()
-	// memberOf maps a record to its member index. canonicalOrder uses it
-	// as scratch first; each entry is rewritten before it is read, since
-	// a parent is shorter than its children and so precedes them.
-	memberOf := make([]int32, nrec)
-	order, err := canonicalOrder(recs, lens, memberOf, func(k int32) string { return e.computation(recs, int32(base)+k).Key() })
-	if err != nil {
-		return nil, err
-	}
+	return nil
+}
 
-	n := base + nrec
-	hash := make([]trace.Hash128, n)
-	length := make([]int32, n)
-	svs := make([]int32, n)
-	x := &prefixIndex{parent: make([]int32, n), event: make([]int32, n)}
+// key returns the canonical key of member par's computation extended by
+// the engine event ev; only error messages need one.
+func (e *engine) key(par, ev int32) string {
+	evs := e.events.table()
+	chain := []int32{ev}
+	for j := par; e.ev[j] >= 0; j = e.par[j] {
+		chain = append(chain, e.ev[j])
+	}
+	c := trace.Empty()
+	for k := len(chain) - 1; k >= 0; k-- {
+		c = trace.Extend(c, evs[chain[k]].Event)
+	}
+	return c.Key()
+}
+
+// universe wraps the engine's columns, which are already in member
+// order, as the universe. Only the event column changes: the engine's
+// event identifiers depend on which worker met an event first, so they
+// are renumbered by first occurrence in member order — the order
+// newPrefixIndex interns in, which makes the index identical to what it
+// would build over the finished universe. An extension's members begin
+// with the base's, whose events keep their identifiers (the engine
+// interned them first), so only the fresh members are renumbered, into
+// a clone of the base's event table.
+func (e *engine) universe(all trace.ProcSet, seed *seedState) (*Universe, error) {
+	x := &prefixIndex{parent: e.par, event: e.ev}
+	from := 0
 	var orbs []int64
 	if e.grp != nil {
-		orbs = make([]int64, n)
+		orbs = make([]int64, len(e.hash))
 	}
 	if seed != nil {
-		// An extension's members are the base's (all shorter, already in
-		// canonical order) followed by the fresh ones: because length is
-		// the primary sort key and every fresh member is strictly longer
-		// than every old one, the concatenation is the global canonical
-		// order — a from-scratch build of the larger bound sorts to
-		// exactly this. The base's index, events included, is likewise
-		// the prefix of the extension's.
 		b := seed.base
-		copy(hash, b.hash)
-		copy(length, b.length)
-		copy(svs, seed.svs)
-		copy(x.parent, e.baseX.parent)
-		copy(x.event, e.baseX.event)
-		x.eventTable = e.baseX.eventTable.clone()
+		from = b.Len()
+		x.eventTable = b.prefixIndex().eventTable.clone()
 		copy(orbs, b.orbitSize)
 	}
 	events := e.events.table()
@@ -82,37 +79,26 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 	for i := range eventID {
 		eventID[i] = -1
 	}
-	for m, k := range order {
-		j := base + m
-		r := recs.at(k)
-		hash[j], length[j], svs[j] = r.hash, r.n, r.sv
-		if orbs != nil {
-			orbs[j] = e.grp.orbitSize(masks[k>>logChunkBits][k&logChunkMask])
-		}
-		memberOf[k] = int32(j)
-		par := r.par
-		if int(par) >= base {
-			par = memberOf[int(par)-base]
-		}
-		x.parent[j] = par
-		ev := r.ev
-		if ev >= 0 {
+	for j := from; j < len(x.event); j++ {
+		if ev := x.event[j]; ev >= 0 {
 			if eventID[ev] < 0 {
 				eventID[ev] = x.intern(&events[ev].Event)
 			}
-			ev = eventID[ev]
+			x.event[j] = eventID[ev]
 		}
-		x.event[j] = ev
+		if orbs != nil {
+			orbs[j] = e.grp.orbitSize(e.mask[j])
+		}
 	}
 	if e.cfg.progress != nil {
-		e.cfg.progress(Progress{Explored: n})
+		e.cfg.progress(Progress{Explored: len(e.hash)})
 	}
 
-	u := newSorted(hash, length, x, all)
+	u := newSorted(e.hash, e.length, x, all)
 	u.proto = e.p
 	u.maxEvents = e.cfg.maxEvents
 	u.states = e.states
-	u.memberSV = svs
+	u.memberSV = e.sv
 	if orbs != nil {
 		// Quotient bookkeeping: each member's orbit size, its weight
 		// class, and the full universe's cardinality as their sum — the
@@ -123,83 +109,4 @@ func (e *engine) canonicalize(all trace.ProcSet, seed *seedState) (*Universe, er
 		}
 	}
 	return u, nil
-}
-
-// computation builds the computation numbered num from the emission log
-// and the base; only error messages need one.
-func (e *engine) computation(recs records, num int32) *trace.Computation {
-	evs := e.events.table()
-	var chain []int32
-	for ev, par := e.step(recs, num); ev >= 0; ev, par = e.step(recs, par) {
-		chain = append(chain, ev)
-	}
-	c := trace.Empty()
-	for k := len(chain) - 1; k >= 0; k-- {
-		c = trace.Extend(c, evs[chain[k]].Event)
-	}
-	return c
-}
-
-// canonicalOrder returns the record indexes in canonical (length, hash)
-// order; lens[l] counts the records with l events, and scratch (one
-// entry per record) is overwritten. A counting pass distributes the
-// records into buckets on (length, top hash bits) — 2^b buckets for a
-// length holding c records, 2^(b-1) ≤ c < 2^b, so a bucket holds under
-// one record on average — and an insertion sort finishes each bucket on
-// the full hash. Both read the records' hash and length fields in
-// place. The records are distinct computations (see the engine.go
-// header), so a full 128-bit tie at one length is a hash collision, and
-// checkHashTies fails the run on it, naming both members by key, rather
-// than order the pair.
-func canonicalOrder(recs records, lens []int32, scratch []int32, key func(k int32) string) ([]int32, error) {
-	first := make([]int, len(lens)+1)
-	shift := make([]uint8, len(lens))
-	for l, c := range lens {
-		b := bits.Len32(uint32(c))
-		shift[l] = uint8(64 - b)
-		first[l+1] = first[l] + 1<<b
-	}
-	// bound[b] counts bucket b's records, then becomes the position
-	// after its last one.
-	bound := make([]int32, first[len(lens)])
-	for k := range scratch {
-		r := recs.at(int32(k))
-		b := first[r.n] + int(r.hash.Hi>>shift[r.n])
-		scratch[k] = int32(b)
-		bound[b]++
-	}
-	next := int32(0)
-	for b, c := range bound {
-		bound[b] = next
-		next += c
-	}
-	order := make([]int32, len(scratch))
-	for k, b := range scratch {
-		order[bound[b]] = int32(k)
-		bound[b]++
-	}
-	less := func(i, j int32) bool { return recs.at(i).hash.Less(recs.at(j).hash) }
-	lo := int32(0)
-	for _, hi := range bound {
-		for a := lo + 1; a < hi; a++ {
-			for b := a; b > lo && less(order[b], order[b-1]); b-- {
-				order[b], order[b-1] = order[b-1], order[b]
-			}
-		}
-		lo = hi
-	}
-	return order, checkHashTies(recs, order, key)
-}
-
-// checkHashTies fails with ErrHashCollision when two records adjacent in
-// order — canonical order under hash — have equal lengths and hashes,
-// naming both by key. Equal hashes at different lengths pass.
-func checkHashTies(recs records, order []int32, key func(k int32) string) error {
-	for i := 1; i < len(order); i++ {
-		a, b := recs.at(order[i-1]), recs.at(order[i])
-		if a.n == b.n && a.hash == b.hash {
-			return fmt.Errorf("%w: %q vs %q", ErrHashCollision, key(order[i-1]), key(order[i]))
-		}
-	}
-	return nil
 }

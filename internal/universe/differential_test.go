@@ -51,7 +51,7 @@ func allProtocols(t *testing.T) []enumerable {
 
 // TestParallelMatchesSequential checks the engine's central contract:
 // enumeration with 4 workers yields a byte-identical universe — the
-// same member keys in the same canonical order, hence identical Class
+// same member keys in the same level order, hence identical Class
 // partitions — as single-threaded enumeration, for every protocol in
 // internal/protocols.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -164,20 +164,31 @@ func enumerateReference(p universe.Protocol, maxEvents int) *universe.Universe {
 			}
 		}
 	}
-	comps := make([]*trace.Computation, 0, len(seen))
+	// Level order: by length, then the parent's position, then hash.
+	levels := make([][]*trace.Computation, maxEvents+1)
 	for _, c := range seen {
-		comps = append(comps, c)
+		levels[c.Len()] = append(levels[c.Len()], c)
 	}
-	sort.Slice(comps, func(i, j int) bool {
-		if comps[i].Len() != comps[j].Len() {
-			return comps[i].Len() < comps[j].Len()
+	pos := make(map[string]int, len(seen))
+	comps := make([]*trace.Computation, 0, len(seen))
+	for _, level := range levels {
+		parentPos := func(c *trace.Computation) int {
+			if c.Len() == 0 {
+				return -1
+			}
+			return pos[c.Parent().Key()]
 		}
-		hi, hj := comps[i].Hash(), comps[j].Hash()
-		if hi != hj {
-			return hi.Less(hj)
+		sort.Slice(level, func(i, j int) bool {
+			if pi, pj := parentPos(level[i]), parentPos(level[j]); pi != pj {
+				return pi < pj
+			}
+			return level[i].Hash().Less(level[j].Hash())
+		})
+		for _, c := range level {
+			pos[c.Key()] = len(comps)
+			comps = append(comps, c)
 		}
-		return comps[i].Key() < comps[j].Key()
-	})
+	}
 	return universe.New(comps, trace.NewProcSet(procs...))
 }
 

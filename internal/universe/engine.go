@@ -11,61 +11,58 @@ import (
 	"hpl/internal/trace"
 )
 
-// The enumeration engine is an iterative frontier search run by a pool
-// of workers, rebuilt around structural sharing and incremental state:
+// The enumeration engine builds the universe's prefix tree one level at
+// a time, with a pool of workers, around structural sharing and
+// incremental state:
 //
-//   - A frontier node is a fixed-size record with no pointers: the
-//     computation's 128-bit hash and length, its parent's number, its
-//     interned last event, and the int32 identifier of its interned
-//     local-state vector. Expanding a node never replays or copies its
-//     event history: one allocation-free walk of the parent numbers
-//     recovers the per-process event counts, send counters, and
-//     in-flight messages.
-//   - Every emitted node is stored by emission number in a log of fixed
-//     chunks, which never move once allocated, so a worker walking
-//     another worker's records never reads memory that is being
-//     reallocated. Numbers below the seed's size name the base
-//     universe's members and are read from its columns.
+//   - Members are emitted in the prefix tree's level order, which is
+//     the universe's member order: by length, then by the parent's
+//     member index, then by hash among siblings. The engine keeps the
+//     members as columns — hash, length, parent, interned last event,
+//     interned local-state vector — and a level is expanded by reading
+//     the columns of the levels before it. Workers take contiguous
+//     ranges of level L, expand each parent into a buffer of their
+//     range and hash-sort that parent's few children; the buffers are
+//     then appended to the columns in range order. So the order depends
+//     only on the member set, never on the worker count or on the order
+//     of a protocol's Steps, and there is no global sort and no gather.
+//   - Expanding a member never replays or copies its event history: one
+//     allocation-free walk of the parent column recovers the
+//     per-process event counts, send counters, and in-flight messages.
 //   - A child's hash is its parent's extended by one event, built on
 //     the stack from identifiers precomputed up to the event bound; the
 //     event is interned in a table the workers share, behind a
 //     per-worker cache. No trace.Computation is built: the universe's
 //     member views are made on demand (see Universe.At).
-//   - No seen-set: every node above the seed horizon is emitted, and
-//     no two are the same computation. The search tree is the
-//     universe's prefix tree — a node is its parent plus one event — so
-//     two nodes can be the same sequence only if one parent yields the
-//     same event twice. Its deliveries cannot, since each names its own
-//     message, and stepActions collapses spontaneous actions whose
-//     events coincide where they arise. By induction on length, then,
-//     distinct nodes are distinct sequences. Under WithSymmetry the
-//     emitted nodes are moreover in distinct orbits: if σ maps node x
-//     to node y, it fixes their longest common prefix c, so σ is in
-//     c's stabilizer and maps x's child of c to y's — two siblings in
-//     one stabilizer orbit, of which symCanonical keeps only one. An
-//     extension (Extend) expands its seeds, the base's frontier,
-//     without re-emitting them, and everything it emits is longer than
-//     every base member. What remains is the ~2^-128 assumption that
-//     distinct members of one length hash apart, and canonicalOrder
-//     checks it (ErrHashCollision).
-//   - Workers pop nodes and push children in batches, so queue lock
-//     traffic is amortized over dozens of expansions.
+//   - No seen-set: no two emitted members are the same computation. The
+//     search tree is the universe's prefix tree — a member is its
+//     parent plus one event — so two members can be the same sequence
+//     only if one parent yields the same event twice. Its deliveries
+//     cannot, since each names its own message, and stepActions
+//     collapses spontaneous actions whose events coincide where they
+//     arise. By induction on length, then, distinct members are
+//     distinct sequences. Under WithSymmetry the emitted members are
+//     moreover in distinct orbits: if σ maps member x to member y, it
+//     fixes their longest common prefix c, so σ is in c's stabilizer
+//     and maps x's child of c to y's — two siblings in one stabilizer
+//     orbit, of which symCanonical keeps only one. An extension
+//     (Extend) starts from a copy of the base's columns and expands its
+//     last level, so it appends exactly the levels a from-scratch build
+//     of the larger bound would. What remains is the ~2^-128
+//     assumption that distinct members of one length hash apart:
+//     siblings are checked where they are sorted (sortSiblings), the
+//     rest where the hash index is built (ErrHashCollision).
 //   - Protocol transitions (Steps/AfterStep/Deliver) are cached per
 //     worker keyed by interned state-vector identifiers: a Protocol is
 //     one finite state machine per process, so its transition functions
 //     are pure in (process, state) and each distinct transition is
 //     computed once per worker.
 //
-// The emitted set is independent of worker count and of scheduling; the
-// final universe is put in canonical (length, hash) order by a bucket
-// pass over the emission log (see canonicalize), so enumeration with
-// any parallelism yields byte-identical results — same member order,
-// hence identical Partition tables and Transitions graph. The same pass
-// lays the records out as the universe's columns: hash, length, state
-// vector, and the prefix index's parent and event. The differential
-// tests in differential_test.go hold the engine to that contract,
-// against both its own sequential runs and a replay-based reference
-// enumerator.
+// Enumeration with any parallelism therefore yields byte-identical
+// results — same member order, hence identical Partition tables and
+// Transitions graph. The differential tests in differential_test.go
+// hold the engine to that contract, against both its own sequential
+// runs and a replay-based reference enumerator.
 
 // ErrAmbiguousStep reports a protocol that, in one local state, enables
 // two actions with the same event but different successor states: its
@@ -73,74 +70,13 @@ import (
 // not a function of their events.
 var ErrAmbiguousStep = errors.New("universe: equal events lead to different states")
 
-// record is one member as the engine emits it: its hash and length,
-// the number of its parent (-1 for the null computation), its last
-// event's identifier in the engine's shared event table (-1 for null),
-// and its interned local-state vector. A number is an emission number
-// (see engine.emitted); below the seed's size it is a base member index.
+// record is one child as a worker emits it into its range's buffer: its
+// hash, its parent's member index, its last event's identifier in the
+// engine's shared event table and its interned local-state vector.
 type record struct {
-	hash trace.Hash128
-	par  int32
-	ev   int32
-	sv   int32
-	n    int32
+	hash        trace.Hash128
+	par, ev, sv int32
 }
-
-// enode is one work item of the frontier: the record the node will be
-// emitted as and, under WithSymmetry, its support mask — bit i set when
-// procs[i] appears as the Proc or Peer of some event — which identifies
-// the node's stabilizer (the pointwise stabilizer of the support) and
-// hence its orbit size. An extension's seed nodes are never emitted;
-// their par is their own base member index, the number their children
-// must name.
-type enode struct {
-	record
-	mask uint64
-}
-
-// logChunkBits sizes the emission log's chunks: 1024 records each.
-const logChunkBits = 10
-
-const logChunkMask = 1<<logChunkBits - 1
-
-// chunkLog is an append-only array of T split into fixed chunks that
-// never move. Workers write their own slots concurrently; a slot is
-// read only after its write happened before (through the work queue),
-// and the chunk directory is replaced, never mutated below its length,
-// so readers holding an older directory stay valid.
-type chunkLog[T any] struct {
-	mu  sync.Mutex
-	dir atomic.Pointer[[]*[1 << logChunkBits]T]
-}
-
-// chunks returns the current chunk directory.
-func (l *chunkLog[T]) chunks() []*[1 << logChunkBits]T {
-	if d := l.dir.Load(); d != nil {
-		return *d
-	}
-	return nil
-}
-
-// slot returns slot k for writing, allocating its chunk if need be.
-func (l *chunkLog[T]) slot(k int) *T {
-	c := k >> logChunkBits
-	if d := l.chunks(); c < len(d) {
-		return &d[c][k&logChunkMask]
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.chunks()
-	for len(d) <= c {
-		d = append(d, new([1 << logChunkBits]T))
-	}
-	l.dir.Store(&d)
-	return &d[c][k&logChunkMask]
-}
-
-// records is a snapshot of the emission log's chunk directory.
-type records []*[1 << logChunkBits]record
-
-func (r records) at(k int32) *record { return &r[k>>logChunkBits][k&logChunkMask] }
 
 // engineEvent is an entry of the engine's shared event table: the event
 // and the indexes of its process and peer (-1 when it has none), which
@@ -201,50 +137,41 @@ type engine struct {
 	// representative per renaming orbit.
 	grp *symGroup
 
-	// noEmitLen marks the seed horizon of an extension run: nodes of
-	// that length or shorter are expanded but not emitted — they are
-	// already members of the universe being extended. -1 for
-	// from-scratch runs, so the null computation is emitted.
-	noEmitLen int
+	// The members emitted so far, in member order, as columns: hash,
+	// length, parent member index (-1 for null), last event in events
+	// (-1 for null) and interned state vector, plus under WithSymmetry
+	// the support masks — bit i set when procs[i] appears as the Proc or
+	// Peer of some event — which identify a member's stabilizer (the
+	// pointwise stabilizer of the support) and hence its orbit size. The
+	// columns grow only between levels, so workers expanding a level
+	// read them without locks.
+	hash   []trace.Hash128
+	length []int32
+	par    []int32
+	ev     []int32
+	sv     []int32
+	mask   []uint64
+	events eventLog
 
-	// base is the seed universe's size, 0 for from-scratch runs; numbers
-	// below it are base member indexes, read through baseX, whose
-	// events baseEv maps into the shared event table.
-	base   int
-	baseX  *prefixIndex
-	baseEv []int32
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []enode
-	active  int
-	stopped bool
-	stopErr error
-
-	// emitted counts emitted members. Each emission draws its member's
-	// emission number from it: a from-scratch run numbers members 0, 1,
-	// …, and an extension continues after the base's members, so a
-	// number below the base size is a base member index.
+	// emitted counts the members (the cap and progress read it) and
+	// expanded the members whose children have been emitted.
 	emitted  atomic.Int64
-	frontier atomic.Int64
+	expanded atomic.Int64
+	// failed is set, and err holds the first error, once any worker
+	// fails; the other workers then stop at their next member.
+	failed atomic.Bool
+	errMu  sync.Mutex
+	err    error
 
 	// Symmetry-filter totals, flushed from worker-local counters when
-	// each worker retires; symNanos is measured only under WithTrace.
+	// each worker finishes a level; symNanos is measured only under
+	// WithTrace.
 	symCheckN  atomic.Int64
 	symRejectN atomic.Int64
 	symNanos   atomic.Int64
 
 	// progMu serializes the user's progress callback.
 	progMu sync.Mutex
-
-	// recs holds the emitted records by emission number less base, and
-	// masks their support masks under WithSymmetry; events is the shared
-	// event table they name. lens[w][l] counts worker w's records with
-	// l events. canonicalize turns all of it into the universe.
-	recs   chunkLog[record]
-	masks  chunkLog[uint64]
-	events eventLog
-	lens   [][]int32
 }
 
 // worker holds one worker's scratch buffers and lock-free caches over
@@ -252,11 +179,9 @@ type engine struct {
 type worker struct {
 	e *engine
 
-	batch    []enode
-	children []enode
-
-	// lens[l] counts the records this worker emitted with l events.
-	lens []int32
+	// out collects the children of the range being expanded; it keeps
+	// its capacity from range to range.
+	out []record
 
 	// local caches the shared event table: glob[id] is the shared
 	// identifier of the event local interned as id.
@@ -286,7 +211,7 @@ type worker struct {
 	buf       []byte
 
 	// Symmetry-filter tallies, local so the hot path pays plain
-	// increments; flushed into the engine once when the worker retires.
+	// increments; flushed into the engine when a level ends.
 	symChecks  int64
 	symRejects int64
 	symNanos   int64
@@ -306,11 +231,12 @@ type delivKey struct {
 // prefix, since the search tree is rooted at null). Without options it
 // uses DefaultMaxEvents, no cap, and a single worker.
 //
-// The resulting universe is canonical: members are ordered by event
-// count, then 128-bit canonical hash, so the result is identical for
-// every parallelism level. Enumeration fails with ErrTooLarge when the
-// universe exceeds the WithCap bound, and with ctx.Err() when the
-// WithContext context is cancelled.
+// The resulting universe is canonical: its members are in the prefix
+// tree's level order — by event count, then the parent's member index,
+// then 128-bit canonical hash among siblings — so the result is
+// identical for every parallelism level. Enumeration fails with
+// ErrTooLarge when the universe exceeds the WithCap bound, and with
+// ctx.Err() when the WithContext context is cancelled.
 func EnumerateWith(p Protocol, opts ...Option) (*Universe, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -321,12 +247,13 @@ func EnumerateWith(p Protocol, opts ...Option) (*Universe, error) {
 
 // seedState re-seeds an enumeration from an existing universe: svs[i]
 // is the interned identifier (in states) of base member i's local-state
-// vector. Extend constructs it; enumerate consumes it by queueing the
-// base's frontier — its members of exactly maxEvents length — instead
-// of the null computation. Completeness below the old bound is what
-// makes this sound: a bound-n universe contains every computation of
-// length < n together with all of their children, so only the length-n
-// members have unexplored extensions.
+// vector. Extend constructs it; enumerate consumes it by starting from
+// the base's columns and expanding its last level — its members of
+// exactly maxEvents length — instead of the null computation.
+// Completeness below the old bound is what makes this sound: a bound-n
+// universe contains every computation of length < n together with all
+// of their children, so only the length-n members have unexplored
+// extensions.
 type seedState struct {
 	base   *Universe
 	states *stateTable
@@ -382,46 +309,43 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		}
 	}
 
-	states := newStateTable()
-	if seed != nil {
-		states = seed.states
-	}
-
 	e := &engine{
-		p:         p,
-		cfg:       cfg,
-		procs:     procs,
-		procIdx:   procIdx,
-		eventIDs:  eventIDs,
-		msgIDs:    msgIDs,
-		states:    states,
-		grp:       grp,
-		noEmitLen: -1,
-		lens:      make([][]int32, cfg.parallelism),
+		p:        p,
+		cfg:      cfg,
+		procs:    procs,
+		procIdx:  procIdx,
+		eventIDs: eventIDs,
+		msgIDs:   msgIDs,
+		grp:      grp,
 	}
-	e.cond = sync.NewCond(&e.mu)
+	// lo is the first member of the level to expand next.
+	lo := 0
 	if seed != nil {
-		// Queue the old frontier. The emit counter starts at the base
-		// size so cap and progress semantics match a from-scratch run of
-		// the larger bound; the base's events join the shared table so
-		// chain walks read base members like records.
+		// Start from the base's columns. Its events join the shared
+		// table first and in order, so they keep their identifiers and
+		// the event column is copied as is. The emit counter starts at
+		// the base size so cap and progress semantics match a
+		// from-scratch run of the larger bound.
 		b := seed.base
-		e.noEmitLen = b.maxEvents
-		e.base = b.Len()
-		e.emitted.Store(int64(e.base))
-		e.baseX = b.prefixIndex()
-		e.baseEv = make([]int32, len(e.baseX.events))
-		for id := range e.baseX.events {
-			ev := &e.baseX.events[id]
-			e.baseEv[id] = e.events.intern(ev, e.procOf(ev.Proc), e.procOf(ev.Peer))
+		bx := b.prefixIndex()
+		e.states = seed.states
+		e.hash = slices.Clone(b.hash)
+		e.length = slices.Clone(b.length)
+		e.par = slices.Clone(bx.parent)
+		e.ev = slices.Clone(bx.event)
+		e.sv = slices.Clone(seed.svs)
+		for id := range bx.events {
+			ev := &bx.events[id]
+			e.events.intern(ev, e.procOf(ev.Proc), e.procOf(ev.Peer))
 		}
-		for i := range e.base {
-			if int(b.length[i]) == b.maxEvents {
-				nd := enode{record: record{hash: b.hash[i], par: int32(i), ev: -1, sv: seed.svs[i], n: b.length[i]}}
-				if grp != nil {
-					nd.mask = e.supportMask(int32(i))
-				}
-				e.queue = append(e.queue, nd)
+		lo = len(e.hash)
+		for lo > 0 && int(e.length[lo-1]) == b.maxEvents {
+			lo--
+		}
+		if grp != nil {
+			e.mask = make([]uint64, len(e.hash))
+			for j := 1; j < len(e.hash); j++ {
+				e.mask[j] = e.childMask(e.par[j], e.ev[j])
 			}
 		}
 	} else {
@@ -429,39 +353,39 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		for i, id := range procs {
 			vec0[i] = p.Init(id)
 		}
-		sv0, _ := states.intern(vec0, nil)
-		e.queue = []enode{{record: record{hash: trace.Empty().Hash(), par: -1, ev: -1, sv: sv0}}}
+		e.states = newStateTable()
+		sv0, _ := e.states.intern(vec0, nil)
+		e.hash = []trace.Hash128{trace.Empty().Hash()}
+		e.length, e.par, e.ev, e.sv = []int32{0}, []int32{-1}, []int32{-1}, []int32{sv0}
+		if grp != nil {
+			e.mask = []uint64{0}
+		}
 	}
-	e.frontier.Store(int64(len(e.queue)))
+	e.emitted.Store(int64(len(e.hash)))
+	e.expanded.Store(int64(lo))
 
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.parallelism; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wk := &worker{
-				e:       e,
-				evCount: make([]int32, n),
-				nextMsg: make([]int32, n),
-				vecs:    make(map[int32][]string),
-				steps:   make(map[stepsKey][]Action),
-				stepSV:  make(map[actKey]int32),
-				delivSV: make(map[delivKey]int32),
-			}
-			if grp != nil {
-				wk.stabCache = make(map[uint64][]int32)
-			}
-			e.run(wk)
-			e.lens[w] = wk.lens
-			if wk.symChecks > 0 {
-				e.symCheckN.Add(wk.symChecks)
-				e.symRejectN.Add(wk.symRejects)
-				e.symNanos.Add(wk.symNanos)
-			}
-		}(w)
+	workers := make([]*worker, cfg.parallelism)
+	for w := range workers {
+		workers[w] = &worker{
+			e:       e,
+			evCount: make([]int32, n),
+			nextMsg: make([]int32, n),
+			vecs:    make(map[int32][]string),
+			steps:   make(map[stepsKey][]Action),
+			stepSV:  make(map[actKey]int32),
+			delivSV: make(map[delivKey]int32),
+		}
+		if grp != nil {
+			workers[w].stabCache = make(map[uint64][]int32)
+		}
 	}
 	expandSp := cfg.trace.Start("enumerate.expand")
-	wg.Wait()
+	for hi := len(e.hash); lo < hi && int(e.length[lo]) < cfg.maxEvents; lo, hi = hi, len(e.hash) {
+		e.appendLevel(e.expandLevel(workers, int32(lo), int32(hi)))
+		if e.err != nil {
+			break
+		}
+	}
 	phaseExpand.ObserveDuration(expandSp.End())
 	if n := e.symCheckN.Load(); n > 0 {
 		symChecksTotal.Add(n)
@@ -470,12 +394,12 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		// recorded separately so quotient builds can see its share.
 		cfg.trace.AddN("symmetry.filter", n, time.Duration(e.symNanos.Load()))
 	}
-	if e.stopErr != nil {
-		return nil, e.stopErr
+	if e.err != nil {
+		return nil, e.err
 	}
 
 	canonSp := cfg.trace.Start("enumerate.canonicalize")
-	u, err := e.canonicalize(all, seed)
+	u, err := e.universe(all, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -498,11 +422,6 @@ func MustEnumerateWith(p Protocol, opts ...Option) *Universe {
 	}
 	return u
 }
-
-// batchMax bounds how many nodes a worker claims per queue lock
-// acquisition; children accumulate across the whole batch and are
-// pushed back under one more acquisition.
-const batchMax = 64
 
 // idTableMax caps the precomputed per-process identifier tables;
 // positions beyond it (only reachable under an absurd WithMaxEvents)
@@ -536,87 +455,147 @@ func (e *engine) msgID(pi, k int32) trace.MsgID {
 	return trace.NewMsgID(e.procs[pi], int(k))
 }
 
-// run pops node batches until the frontier drains, an error stops the
-// engine, or the context is cancelled.
-func (e *engine) run(w *worker) {
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && e.active > 0 && !e.stopped {
-			e.cond.Wait()
-		}
-		if e.stopped || len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		k := len(e.queue)
-		if k > batchMax {
-			k = batchMax
-		}
-		w.batch = append(w.batch[:0], e.queue[len(e.queue)-k:]...)
-		e.queue = e.queue[:len(e.queue)-k]
-		e.active += k
-		e.mu.Unlock()
-		e.frontier.Add(int64(-k))
+// fail records err as the run's error unless one is recorded already,
+// and tells the other workers to stop.
+func (e *engine) fail(err error) {
+	e.errMu.Lock()
+	if e.err == nil {
+		e.err = err
+	}
+	e.errMu.Unlock()
+	e.failed.Store(true)
+}
 
-		w.children = w.children[:0]
-		var err error
-		for i := range w.batch {
-			if err = w.expand(&w.batch[i], &w.children); err != nil {
-				break
+// rangesPerWorker sizes a level's ranges: enough of them that workers
+// finishing early find more to take, few enough that claiming a range
+// and copying out its buffer stay cheap.
+const rangesPerWorker = 8
+
+// expandLevel expands the members [lo, hi) of one level and returns
+// their children, one buffer per contiguous range of parents, in range
+// order: concatenated, they are the next level in member order. Each
+// buffer is allocated at its exact size once its range is done, so a
+// level's children are held once, not in slices grown by doubling.
+func (e *engine) expandLevel(workers []*worker, lo, hi int32) [][]record {
+	size := max(64, (hi-lo)/int32(len(workers)*rangesPerWorker))
+	bufs := make([][]record, (hi-lo+size-1)/size)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for _, w := range workers[:min(len(workers), len(bufs))] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.events = e.events.table()
+			for r := next.Add(1) - 1; int(r) < len(bufs) && !e.failed.Load(); r = next.Add(1) - 1 {
+				a := lo + r*size
+				w.out = w.out[:0]
+				if err := w.expandRange(a, min(a+size, hi)); err != nil {
+					e.fail(err)
+				}
+				bufs[r] = append(make([]record, 0, len(w.out)), w.out...)
+			}
+			if w.symChecks > 0 {
+				e.symCheckN.Add(w.symChecks)
+				e.symRejectN.Add(w.symRejects)
+				e.symNanos.Add(w.symNanos)
+				w.symChecks, w.symRejects, w.symNanos = 0, 0, 0
+			}
+		}()
+	}
+	wg.Wait()
+	return bufs
+}
+
+// appendLevel appends a level's buffers to the columns, growing each
+// column once to its exact new size.
+func (e *engine) appendLevel(bufs [][]record) {
+	if e.err != nil {
+		return
+	}
+	k := 0
+	for _, b := range bufs {
+		k += len(b)
+	}
+	l := e.length[len(e.length)-1] + 1
+	e.hash, e.length = grow(e.hash, k), grow(e.length, k)
+	e.par, e.ev, e.sv = grow(e.par, k), grow(e.ev, k), grow(e.sv, k)
+	if e.grp != nil {
+		e.mask = grow(e.mask, k)
+	}
+	for r, b := range bufs {
+		for i := range b {
+			c := &b[i]
+			e.hash = append(e.hash, c.hash)
+			e.length = append(e.length, l)
+			e.par = append(e.par, c.par)
+			e.ev = append(e.ev, c.ev)
+			e.sv = append(e.sv, c.sv)
+			if e.grp != nil {
+				e.mask = append(e.mask, e.childMask(c.par, c.ev))
 			}
 		}
-
-		e.mu.Lock()
-		e.active -= k
-		if err != nil && !e.stopped {
-			e.stopped = true
-			e.stopErr = err
-		}
-		wasEmpty := len(e.queue) == 0
-		if !e.stopped && len(w.children) > 0 {
-			e.queue = append(e.queue, w.children...)
-			e.frontier.Add(int64(len(w.children)))
-		}
-		// Wake peers only on a state change they wait for: work arriving
-		// on an empty queue, the engine stopping, or the pool draining.
-		if e.stopped || (wasEmpty && len(e.queue) > 0) || (e.active == 0 && len(e.queue) == 0) {
-			e.cond.Broadcast()
-		}
-		e.mu.Unlock()
+		bufs[r] = nil
 	}
 }
 
-// expand emits nd's computation and appends its children to *children.
-func (w *worker) expand(nd *enode, children *[]enode) error {
-	e := w.e
-	if err := e.cfg.ctx.Err(); err != nil {
-		return err
+// childMask returns the support mask of member par's computation
+// extended by the engine event ev.
+func (e *engine) childMask(par, ev int32) uint64 {
+	ee := &e.events.table()[ev]
+	mask := e.mask[par] | 1<<uint(ee.proc)
+	if ee.peer >= 0 {
+		mask |= 1 << uint(ee.peer)
 	}
-	// Nodes at or below the seed horizon are already members of the
-	// universe being extended: expand them, but emit only their
-	// descendants. Such a seed carries its own number in par.
-	self := nd.par
-	if int(nd.n) > e.noEmitLen {
-		count := e.emitted.Add(1)
-		self = int32(count - 1)
-		w.emit(nd, self)
+	return mask
+}
+
+// grow returns s with capacity for exactly n more elements.
+func grow[T any](s []T, n int) []T {
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// expandRange expands the members [a, b), appending each one's children
+// to w.out in hash order.
+func (w *worker) expandRange(a, b int32) error {
+	e := w.e
+	for j := a; j < b && !e.failed.Load(); j++ {
+		if err := e.cfg.ctx.Err(); err != nil {
+			return err
+		}
+		k := len(w.out)
+		if err := w.expand(j); err != nil {
+			return err
+		}
+		kids := w.out[k:]
+		if err := sortSiblings(kids, func(i int) string { return e.key(kids[i].par, kids[i].ev) }); err != nil {
+			return err
+		}
+		count := e.emitted.Add(int64(len(kids)))
+		e.expanded.Add(1)
 		if e.cfg.capN > 0 && count > int64(e.cfg.capN) {
 			return fmt.Errorf("%w: more than %d computations", ErrTooLarge, e.cfg.capN)
 		}
-		if e.cfg.progress != nil && count%int64(e.cfg.progressEvery) == 0 {
+		if every := int64(e.cfg.progressEvery); e.cfg.progress != nil && count/every != (count-int64(len(kids)))/every {
 			e.reportProgress()
 		}
 	}
+	return nil
+}
 
-	if int(nd.n) >= e.cfg.maxEvents {
-		return nil
+// expand appends the children of member j to w.out.
+func (w *worker) expand(j int32) error {
+	e := w.e
+	w.loadChain(j)
+	hash, sv := e.hash[j], e.sv[j]
+	var mask uint64
+	if e.grp != nil {
+		mask = e.mask[j]
 	}
-	w.loadChain(self)
 	// Deliveries of in-flight messages.
 	for _, id := range w.inflight {
 		send := &w.events[id]
 		dst := send.peer
-		csv := w.deliverChild(nd.sv, dst, send.proc, send.Tag)
+		csv := w.deliverChild(sv, dst, send.proc, send.Tag)
 		if csv < 0 {
 			continue
 		}
@@ -632,12 +611,12 @@ func (w *worker) expand(nd *enode, children *[]enode) error {
 		// and addressee both already appear in the parent's support (the
 		// send event carries them as Proc and Peer), so every stabilizer
 		// element fixes the receive event — its sibling orbit is itself.
-		*children = append(*children, w.child(nd, self, &ev, dst, send.proc, csv, nd.mask|1<<uint(dst)))
+		w.out = append(w.out, w.child(hash, j, &ev, dst, send.proc, csv))
 	}
 	// Spontaneous steps.
 	for pi := range e.procs {
 		pid := e.procs[pi]
-		acts, err := w.stepActions(nd.sv, int32(pi))
+		acts, err := w.stepActions(sv, int32(pi))
 		if err != nil {
 			return err
 		}
@@ -668,10 +647,6 @@ func (w *worker) expand(nd *enode, children *[]enode) error {
 			default:
 				return fmt.Errorf("universe: protocol %T emitted action of kind %v", e.p, a.Kind)
 			}
-			mask := nd.mask | 1<<uint(pi)
-			if qi >= 0 {
-				mask |= 1 << uint(qi)
-			}
 			if e.grp != nil {
 				w.symChecks++
 				// Per-check wall time is only sampled under WithTrace;
@@ -680,7 +655,7 @@ func (w *worker) expand(nd *enode, children *[]enode) error {
 				if e.cfg.trace != nil {
 					t0 = time.Now()
 				}
-				canon := w.symCanonical(nd.hash, nd.mask, ev, int32(pi), qi, w.evCount[pi], w.nextMsg[pi])
+				canon := w.symCanonical(hash, mask, ev, int32(pi), qi, w.evCount[pi], w.nextMsg[pi])
 				if e.cfg.trace != nil {
 					w.symNanos += int64(time.Since(t0))
 				}
@@ -689,19 +664,16 @@ func (w *worker) expand(nd *enode, children *[]enode) error {
 					continue
 				}
 			}
-			*children = append(*children, w.child(nd, self, &ev, int32(pi), qi, w.stepChild(nd.sv, int32(pi), ai, a), mask))
+			w.out = append(w.out, w.child(hash, j, &ev, int32(pi), qi, w.stepChild(sv, int32(pi), ai, a)))
 		}
 	}
 	return nil
 }
 
-// child returns the frontier node for nd's computation, numbered self,
-// extended by ev on procs[pi] (with peer procs[qi], or qi = -1).
-func (w *worker) child(nd *enode, self int32, ev *trace.Event, pi, qi, sv int32, mask uint64) enode {
-	return enode{
-		record: record{hash: nd.hash.ExtendEvent(*ev), par: self, ev: w.internEvent(ev, pi, qi), sv: sv, n: nd.n + 1},
-		mask:   mask,
-	}
+// child returns the record of member par's computation, whose hash is
+// hash, extended by ev on procs[pi] (with peer procs[qi], or qi = -1).
+func (w *worker) child(hash trace.Hash128, par int32, ev *trace.Event, pi, qi, sv int32) record {
+	return record{hash: hash.ExtendEvent(*ev), par: par, ev: w.internEvent(ev, pi, qi), sv: sv}
 }
 
 // internEvent returns ev's identifier in the shared event table,
@@ -713,20 +685,6 @@ func (w *worker) internEvent(ev *trace.Event, pi, qi int32) int32 {
 	g := w.e.events.intern(ev, pi, qi)
 	w.glob = append(w.glob, g)
 	return g
-}
-
-// emit stores nd as emission number num.
-func (w *worker) emit(nd *enode, num int32) {
-	e := w.e
-	k := int(num) - e.base
-	*e.recs.slot(k) = nd.record
-	if e.grp != nil {
-		*e.masks.slot(k) = nd.mask
-	}
-	for len(w.lens) <= int(nd.n) {
-		w.lens = append(w.lens, 0)
-	}
-	w.lens[nd.n]++
 }
 
 // symCanonical reports whether extending the computation whose hash is
@@ -771,8 +729,8 @@ func (w *worker) symCanonical(parent trace.Hash128, mask uint64, ev trace.Event,
 			sev.Peer = e.procs[perm[qi]]
 		}
 		// Strict less: on the ~2^-128 event of a full hash tie between
-		// distinct siblings both survive, and canonicalOrder fails the
-		// run on their equal (length, hash) with ErrHashCollision.
+		// distinct siblings both survive, and sortSiblings fails the
+		// run on their equal hashes with ErrHashCollision.
 		if parent.ExtendEvent(sev).Less(h) {
 			return false
 		}
@@ -798,61 +756,27 @@ func (w *worker) stabFor(mask uint64) []int32 {
 	return s
 }
 
-// step returns the event identifier and parent of the computation
-// numbered num: from the base's columns below the seed size, from the
-// emission log above it. recs must be a directory snapshot that holds
-// num's record.
-func (e *engine) step(recs records, num int32) (ev, par int32) {
-	if int(num) < e.base {
-		ev, par = e.baseX.event[num], e.baseX.parent[num]
-		if ev >= 0 {
-			ev = e.baseEv[ev]
-		}
-		return ev, par
-	}
-	r := recs.at(num - int32(e.base))
-	return r.ev, r.par
-}
-
-// supportMask recomputes a base member's support mask by walking its
-// chain; the engine uses it only to seed extension frontiers (fresh
-// nodes carry masks incrementally).
-func (e *engine) supportMask(num int32) uint64 {
-	evs := e.events.table()
-	var mask uint64
-	for ev, par := e.step(nil, num); ev >= 0; ev, par = e.step(nil, par) {
-		mask |= 1 << uint(evs[ev].proc)
-		if q := evs[ev].peer; q >= 0 {
-			mask |= 1 << uint(q)
-		}
-	}
-	return mask
-}
-
-// loadChain recovers the expansion state of the computation numbered
-// num into the worker's scratch buffers with one allocation-free walk of
-// the parent numbers: per-process event counts, per-process send
-// counters, and the in-flight messages (sends not received; the walk is
-// backwards, so receives are seen before their sends).
-func (w *worker) loadChain(num int32) {
+// loadChain recovers the expansion state of member j into the worker's
+// scratch buffers with one allocation-free walk of the parent column:
+// per-process event counts, per-process send counters, and the
+// in-flight messages (sends not received; the walk is backwards, so
+// receives are seen before their sends).
+func (w *worker) loadChain(j int32) {
 	for i := range w.evCount {
 		w.evCount[i], w.nextMsg[i] = 0, 0
 	}
 	w.inflight = w.inflight[:0]
 	w.received = w.received[:0]
 	e := w.e
-	// Every record on the chain was written before num's node was
-	// queued, so these snapshots hold all of them.
-	w.events = e.events.table()
-	recs := records(e.recs.chunks())
-	for ev, par := e.step(recs, num); ev >= 0; ev, par = e.step(recs, par) {
-		ee := &w.events[ev]
+	for ; e.ev[j] >= 0; j = e.par[j] {
+		id := e.ev[j]
+		ee := &w.events[id]
 		w.evCount[ee.proc]++
 		switch ee.Kind {
 		case trace.KindSend:
 			w.nextMsg[ee.proc]++
 			if !w.sawReceive(ee.Msg) {
-				w.inflight = append(w.inflight, ev)
+				w.inflight = append(w.inflight, id)
 			}
 		case trace.KindReceive:
 			w.received = append(w.received, ee.Msg)
@@ -965,12 +889,12 @@ func (w *worker) deliverChild(sv, dst, from int32, tag string) int32 {
 	return id
 }
 
+// reportProgress delivers the counters to the progress callback.
+// Frontier counts the members emitted but not yet expanded, which
+// includes those at the event bound.
 func (e *engine) reportProgress() {
-	f := e.frontier.Load()
-	if f < 0 {
-		f = 0
-	}
 	e.progMu.Lock()
-	e.cfg.progress(Progress{Explored: int(e.emitted.Load()), Frontier: int(f)})
-	e.progMu.Unlock()
+	defer e.progMu.Unlock()
+	n := e.emitted.Load()
+	e.cfg.progress(Progress{Explored: int(n), Frontier: int(max(0, n-e.expanded.Load()))})
 }

@@ -38,18 +38,28 @@ func TestClassReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestCanonicalMemberOrder pins member order to the prefix tree's
+// level order: member 0 is null, and every later member follows the
+// one before it by (length, parent index, hash), its parent before it.
 func TestCanonicalMemberOrder(t *testing.T) {
 	u := freeTwoProc(t, 4)
 	if u.At(0).Len() != 0 {
 		t.Fatalf("member 0 is not the null computation")
 	}
+	parent := func(i int) int { return u.IndexOf(u.At(i).Parent()) }
 	for i := 1; i < u.Len(); i++ {
 		a, b := u.At(i-1), u.At(i)
-		if a.Len() > b.Len() {
-			t.Fatalf("members %d,%d out of canonical length order", i-1, i)
+		if pb := parent(i); pb < 0 || pb >= i {
+			t.Fatalf("member %d's parent %d does not precede it", i, pb)
 		}
-		if a.Len() == b.Len() && !a.Hash().Less(b.Hash()) {
-			t.Fatalf("members %d,%d out of canonical (length, hash) order", i-1, i)
+		switch {
+		case a.Len() > b.Len():
+			t.Fatalf("members %d,%d out of length order", i-1, i)
+		case a.Len() < b.Len():
+		case parent(i-1) > parent(i):
+			t.Fatalf("members %d,%d out of parent order", i-1, i)
+		case parent(i-1) == parent(i) && !a.Hash().Less(b.Hash()):
+			t.Fatalf("siblings %d,%d out of hash order", i-1, i)
 		}
 	}
 }

@@ -14,15 +14,15 @@ var ErrCannotExtend = errors.New("universe: cannot extend")
 // re-seeding the engine's frontier from u's maximal members instead of
 // the null computation. A bound-n universe is complete below n — every
 // member of length < n already has all of its children as members — so
-// only the length-n members have unexplored extensions; Extend queues
-// exactly those, with their interned local-state vectors recovered from
-// the enumeration (or snapshot) that built u, and runs the ordinary
-// worker pool over the new frontier. The engine reads old members from
-// u's columns by member number, the new universe's columns begin with
-// a copy of u's, and the result is byte-identical — member order,
-// Partition tables, Transitions graph — to a from-scratch EnumerateWith
-// at the larger bound; the differential tests in extend_test.go hold it
-// to that.
+// only the length-n members — u's last level — have unexplored
+// extensions. Extend starts the engine from a copy of u's columns, with
+// the interned local-state vectors recovered from the enumeration (or
+// snapshot) that built u, and the ordinary worker pool expands that
+// last level and appends the new ones. Levels are all the engine ever
+// appends, so the result is byte-identical — member order, Partition
+// tables, Transitions graph — to a from-scratch EnumerateWith at the
+// larger bound; the differential tests in extend_test.go and
+// route_test.go hold it to that.
 //
 // Options are interpreted exactly as for EnumerateWith against the
 // target bound: WithMaxEvents names the new bound (it must be ≥ u's;

@@ -2,6 +2,7 @@ package universe_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 // never panic, never hang, never hand back a structure whose basic
 // invariants are broken. The corpus is seeded with a full well-formed
 // snapshot (every section present), truncations and small corruptions
-// of it, and a quotient snapshot with and without impossible orbit
-// sizes, so the fuzzer starts at the interesting frontier of
-// almost-valid inputs instead of random noise.
+// of it, a quotient snapshot with and without impossible orbit sizes,
+// and headers of the retired versions 1 and 2, so the fuzzer starts at
+// the interesting frontier of almost-valid inputs instead of random
+// noise. Whatever follows a well-formed header of another version, the
+// answer is ErrSnapshotVersion.
 func FuzzReadSnapshot(f *testing.F) {
 	golden := goldenBytes(f)
 	f.Add(golden)
@@ -35,9 +38,17 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(orbits)
 	f.Add(withOrbitSizes(orbits, members, 7, 7))
 	f.Add(withOrbitSizes(orbits, members, math.MaxInt64, math.MaxInt64))
+	for _, v := range []byte{1, 2} {
+		old := bytes.Clone(golden)
+		old[6] = v
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, digest, err := universe.ReadSnapshot(bytes.NewReader(data))
+		if len(data) >= 15 && string(data[:6]) == "HPLSNP" && data[6] != 3 && !errors.Is(err, universe.ErrSnapshotVersion) {
+			t.Fatalf("version %d header: err = %v, want ErrSnapshotVersion", data[6], err)
+		}
 		if err != nil {
 			return
 		}

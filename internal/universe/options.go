@@ -16,8 +16,9 @@ const DefaultMaxEvents = 8
 type Progress struct {
 	// Explored counts distinct computations emitted so far.
 	Explored int
-	// Frontier counts discovered-but-unexpanded computations queued in
-	// the engine (an approximation while workers are mid-expansion).
+	// Frontier counts computations emitted but not yet expanded,
+	// including those at the event bound (an approximation while
+	// workers are mid-level).
 	Frontier int
 }
 
@@ -77,7 +78,7 @@ func WithCap(n int) Option {
 
 // WithParallelism runs the enumeration on n workers; n <= 1 is
 // single-threaded. The resulting universe is identical (same members in
-// the same canonical order, hence the same classes) for every n.
+// the same level order, hence the same classes) for every n.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -127,7 +128,7 @@ func WithSymmetry(g *Symmetry) Option {
 }
 
 // WithTrace attaches a trace that accumulates the enumeration's
-// per-phase wall times (frontier expansion, canonical sort, symmetry
+// per-phase wall times (frontier expansion, column assembly, symmetry
 // stabilizer filtering) and travels with the universe, so the lazy
 // partition/transition builds and snapshot encodes it triggers later
 // land in the same breakdown. The same trace may be shared across

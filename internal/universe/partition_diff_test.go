@@ -156,7 +156,7 @@ func TestPartitionSnapshotLoadMatchesReference(t *testing.T) {
 }
 
 // TestPartitionHandBuiltUniverse covers universe.New input the engine
-// never produces: members out of canonical order, duplicates, and
+// never produces: members out of level order, duplicates, and
 // members whose prefixes are not members.
 func TestPartitionHandBuiltUniverse(t *testing.T) {
 	b := trace.NewBuilder()

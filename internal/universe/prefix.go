@@ -1,8 +1,8 @@
 package universe
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"hpl/internal/trace"
 )
@@ -14,11 +14,11 @@ import (
 // graph need — neither touches a member's event history again.
 //
 // Enumerated and snapshot-loaded universes are born with their index —
-// the engine builds it from its emission records (see
-// engine.canonicalize) and the loader from the file — and it is, with
-// the hash and length columns, their storage. New universes build
-// theirs once, on first use (Universe.prefixIndex). The index is
-// immutable afterwards, so concurrent partition builds share it.
+// the engine builds it as it emits (see engine.universe) and the loader
+// from the file — and it is, with the hash and length columns, their
+// storage. New universes build theirs once, on first use
+// (Universe.prefixIndex). The index is immutable afterwards, so
+// concurrent partition builds share it.
 type prefixIndex struct {
 	// parent[j] is the member index of j's prefix, or -1 when j is the
 	// null computation or its prefix is not a member.
@@ -31,9 +31,11 @@ type prefixIndex struct {
 	// Enumerated and snapshot-loaded universes are prefix closed and
 	// leave it empty.
 	chain map[int32][]int32
-	// order lists every member after its parent: ascending event count,
-	// ties in member order. It is nil on canonically sorted universes,
-	// whose member order already is that order.
+	// order lists the members in the prefix tree's level order: by event
+	// count, then the parent's member index (members whose prefix is
+	// not a member first), then hash. So every member comes after its
+	// parent and each member's children are contiguous. It is nil on
+	// sorted universes, whose member order already is that order.
 	order []int32
 	// eventTable interns the events: events[id] is the event interned
 	// as id.
@@ -90,8 +92,17 @@ func newPrefixIndex(u *Universe) *prefixIndex {
 		for i := range x.order {
 			x.order[i] = int32(i)
 		}
-		sort.SliceStable(x.order, func(a, b int) bool {
-			return u.length[x.order[a]] < u.length[x.order[b]]
+		slices.SortFunc(x.order, func(a, b int32) int {
+			if c := cmp.Compare(u.length[a], u.length[b]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.parent[a], x.parent[b]); c != 0 {
+				return c
+			}
+			if u.hash[a].Less(u.hash[b]) {
+				return -1
+			}
+			return 1 // New members have distinct hashes
 		})
 	}
 	return x

@@ -14,10 +14,10 @@ import (
 )
 
 // Snapshot codec: a versioned, length-prefixed binary dump of an
-// enumerated universe — members, interned state-vector table, built
-// partition tables, and the transition graph — as a handful of flat
-// arrays, so a process restart (or a bound increase via Extend) loads
-// in milliseconds instead of re-enumerating.
+// enumerated universe — its columns, interned state-vector and event
+// tables, and built partition tables — as a handful of flat arrays, so
+// a process restart (or a bound increase via Extend) loads in
+// milliseconds instead of re-enumerating.
 //
 // File layout:
 //
@@ -38,31 +38,35 @@ import (
 //	           Vectors are renumbered by first occurrence in member
 //	           order before writing, so the encoding is byte-identical
 //	           no matter what parallelism enumerated the universe.
-//	members  — count, then per member in canonical (length, hash)
-//	           order: parent member index +1 (0 for the null
-//	           computation), the last event in the trace binary event
-//	           encoding (absent for null), and the state-vector ref.
-//	           Storing one event per member is the prefix tree
-//	           flattened, which is the universe's own storage: the
-//	           loader decodes straight into the parent, event, hash and
-//	           length columns, re-deriving each hash from the parent's.
-//	trans    — flag byte; when 1, per member: parent index +1 and edge
-//	           label proc ref +1. Only the reverse relation is stored;
-//	           the CSR forward adjacency is a counting sort at load.
+//	events   — count, then each event of the prefix index's table in
+//	           the trace binary event encoding, in identifier order,
+//	           which is first occurrence in member order.
+//	members  — count, then per member in member order (the prefix
+//	           tree's level order): member 0, the null computation,
+//	           has only its state-vector ref; every later member has
+//	           its parent's index as the difference from the previous
+//	           member's parent (parents never decrease in level order,
+//	           and member 0's counts as 0), its last event's ID and its
+//	           state-vector ref. These are the universe's own columns:
+//	           the loader checks level and sibling order and re-derives
+//	           each hash and length from the parent's.
 //	parts    — count, then per built partition table: proc-set refs,
 //	           class count, and per-member class identifiers. The
 //	           projection-key index is NOT stored (keys are as long as
 //	           event sequences); loaded tables, like built ones, fill
 //	           it in lazily from one member per class on first
 //	           ClassOfKey.
-//	symmetry — version 2 (symmetry quotients) only: the group's class
-//	           count, then per class its size and proc string refs,
-//	           then one orbit size per member. The loader rejects any
-//	           size that does not divide the group's order (orbit–
+//	symmetry — the group's class count, 0 for a full universe; for a
+//	           symmetry quotient, per class its size and proc string
+//	           refs, then one orbit size per member. The loader rejects
+//	           any size that does not divide the group's order (orbit–
 //	           stabilizer) and any sum that overflows, then regroups
 //	           the sizes into the universe's weight classes. Quotients
 //	           always write zero partition tables (their overlapping
 //	           twisted class listings are rebuilt on demand instead).
+//
+// The transition graph is not stored: it is the parent column plus one
+// child range per member, rebuilt in one pass on first use.
 var (
 	// ErrSnapshotFormat reports input that is not a universe snapshot.
 	ErrSnapshotFormat = errors.New("universe: not a universe snapshot")
@@ -78,24 +82,20 @@ var (
 
 const (
 	snapshotMagic = "HPLSNP"
-	// snapshotVersion is the codec for full universes; symmetry
-	// quotients (WithSymmetry) write snapshotVersionSym, which appends a
-	// symmetry section — the group's classes and the per-member orbit
-	// sizes — after the partitions section. Full universes keep writing
-	// version 1 byte-identically, so pre-symmetry snapshots and readers
-	// interoperate with this build on everything but quotients.
-	snapshotVersion    = 1
-	snapshotVersionSym = 2
+	// snapshotVersion is the codec above. Versions 1 and 2 stored
+	// (length, hash)-ordered members with one encoded event each and a
+	// transition section; they are not read.
+	snapshotVersion = 3
 )
 
 var snapshotCRC = crc64.MakeTable(crc64.ECMA)
 
 // WriteSnapshot writes the universe and its digest key to w. The
 // universe must come from EnumerateWith, Extend, or ReadSnapshot —
-// snapshots persist enumeration state (canonical order, state vectors)
-// that hand-built universes do not carry. Partition tables and the
-// transition graph are included exactly when already built; the output
-// is byte-deterministic for a given universe and set of built tables.
+// snapshots persist enumeration state (level order, state vectors) that
+// hand-built universes do not carry. Partition tables are included
+// exactly when already built; the output is byte-deterministic for a
+// given universe and set of built tables.
 func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 	if u.maxEvents < 0 || u.states == nil || len(u.memberSV) != u.Len() || !u.sorted {
 		return fmt.Errorf("universe: snapshot requires an enumerated universe")
@@ -140,41 +140,26 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 		}
 	}
 
-	// Members: parent index + last event + state vector, read from the
-	// prefix index sorted universes are born with.
+	// Events, then the members' columns, read from the prefix index
+	// sorted universes are born with.
 	x := u.prefixIndex()
+	body = binary.AppendUvarint(body, uint64(len(x.events)))
+	for _, ev := range x.events {
+		body = trace.AppendEventBinary(body, ev, tab)
+	}
 	body = binary.AppendUvarint(body, uint64(u.Len()))
+	prev := int32(0)
 	for i := 0; i < u.Len(); i++ {
-		if ev := x.event[i]; ev < 0 {
-			body = binary.AppendUvarint(body, 0)
-		} else {
-			pi := int(x.parent[i])
-			if pi < 0 || pi >= i {
-				return fmt.Errorf("universe: snapshot: member %d's prefix is not an earlier member (universe not prefix closed)", i)
+		if i > 0 {
+			par := x.parent[i]
+			if par < prev || par >= int32(i) {
+				return fmt.Errorf("universe: snapshot: member %d's parent %d is out of level order", i, par)
 			}
-			body = binary.AppendUvarint(body, uint64(pi)+1)
-			body = trace.AppendEventBinary(body, x.events[ev], tab)
+			body = binary.AppendUvarint(body, uint64(par-prev))
+			body = binary.AppendUvarint(body, uint64(x.event[i]))
+			prev = par
 		}
 		body = binary.AppendUvarint(body, newSV[i])
-	}
-
-	// Transition graph, if built: the reverse relation only.
-	if t := u.transitionsIfBuilt(); t != nil {
-		procPos := make(map[trace.ProcID]uint64, len(procs))
-		for i, p := range procs {
-			procPos[p] = uint64(i)
-		}
-		body = append(body, 1)
-		for j := range t.parent {
-			body = binary.AppendUvarint(body, uint64(t.parent[j])+1)
-			if lab := t.label[j]; lab < 0 {
-				body = binary.AppendUvarint(body, 0)
-			} else {
-				body = binary.AppendUvarint(body, procPos[t.procs[lab]]+1)
-			}
-		}
-	} else {
-		body = append(body, 0)
 	}
 
 	// Built partition tables, ordered by process-set key: sync.Map
@@ -201,12 +186,12 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 		}
 	}
 
-	// Symmetry section (version 2 only): the group's classes and the
-	// per-member orbit sizes. The full-universe cardinality is their
-	// sum, recomputed at load.
-	version := byte(snapshotVersion)
-	if u.sym != nil {
-		version = snapshotVersionSym
+	// Symmetry section: the group's classes and the per-member orbit
+	// sizes, or no classes for a full universe. The full-universe
+	// cardinality is the sizes' sum, recomputed at load.
+	if u.sym == nil {
+		body = binary.AppendUvarint(body, 0)
+	} else {
 		body = binary.AppendUvarint(body, uint64(len(u.sym.classes)))
 		for _, cl := range u.sym.classes {
 			body = binary.AppendUvarint(body, uint64(len(cl)))
@@ -234,7 +219,7 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 
 	hdr := make([]byte, 0, len(snapshotMagic)+9)
 	hdr = append(hdr, snapshotMagic...)
-	hdr = append(hdr, version)
+	hdr = append(hdr, snapshotVersion)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -249,10 +234,10 @@ func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
 }
 
 // ReadSnapshot loads a universe and its digest key from r. The loaded
-// universe answers every query the original did — partition tables and
-// the transition graph included in the snapshot are pre-installed,
-// projection-key indexes rebuild lazily — and becomes extendable again
-// after BindProtocol. Malformed input returns a structured error
+// universe answers every query the original did — partition tables
+// included in the snapshot are pre-installed, projection-key indexes
+// and the transition graph rebuild lazily — and becomes extendable
+// again after BindProtocol. Malformed input returns a structured error
 // (ErrSnapshotFormat, ErrSnapshotVersion, ErrSnapshotTruncated, or
 // ErrSnapshotCorrupt), never a panic.
 func ReadSnapshot(r io.Reader) (*Universe, string, error) {
@@ -267,9 +252,8 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, "", fmt.Errorf("%w: bad magic %q", ErrSnapshotFormat, hdr[:len(snapshotMagic)])
 	}
-	version := hdr[len(snapshotMagic)]
-	if version != snapshotVersion && version != snapshotVersionSym {
-		return nil, "", fmt.Errorf("%w: version %d (this build reads %d and %d)", ErrSnapshotVersion, version, snapshotVersion, snapshotVersionSym)
+	if version := hdr[len(snapshotMagic)]; version != snapshotVersion {
+		return nil, "", fmt.Errorf("%w: version %d (this build reads %d)", ErrSnapshotVersion, version, snapshotVersion)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[len(snapshotMagic)+1:])
 	if plen > math.MaxInt64-8 {
@@ -313,37 +297,65 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 		vecs = append(vecs, v)
 	}
 
+	// Events, interned in file order: each must be new, so it keeps its
+	// identifier.
+	x := &prefixIndex{}
+	for n := sr.count(sr.rem()); len(x.events) < n && sr.err == nil; {
+		ev, k, err := trace.DecodeEventBinary(sr.b[sr.off:], strs)
+		if err != nil {
+			sr.fail("event %d: %v", len(x.events), err)
+			break
+		}
+		sr.off += k
+		if next, id := len(x.events), x.intern(&ev); int(id) != next {
+			sr.fail("event %d repeats event %d", next, id)
+		}
+	}
+
 	// Members, decoded straight into the columns. Each is its parent
-	// (already loaded: parents precede children in canonical order)
-	// extended by one event; hashes and lengths are re-derived from the
-	// parent's, not trusted from the file, and events are interned in
-	// member order, as newPrefixIndex would.
+	// (an earlier member) extended by one event; hashes and lengths are
+	// re-derived from the parent's, not trusted from the file. Parents
+	// never decrease, which with parent < member makes the order level
+	// order, and siblings must ascend strictly by hash, which also
+	// makes the members pairwise distinct. Events must be first met in
+	// identifier order, as newPrefixIndex would intern them.
 	nmem := sr.count(min(sr.rem(), math.MaxInt32))
+	if nmem == 0 && sr.err == nil {
+		sr.fail("no members")
+	}
 	hash := make([]trace.Hash128, 0, nmem)
 	length := make([]int32, 0, nmem)
-	x := &prefixIndex{parent: make([]int32, 0, nmem), event: make([]int32, 0, nmem)}
+	x.parent, x.event = make([]int32, 0, nmem), make([]int32, 0, nmem)
 	svs := make([]int32, 0, nmem)
+	var par, met uint64
 	for i := 0; i < nmem && sr.err == nil; i++ {
-		pref := sr.uvarint()
-		switch {
-		case pref == 0:
+		if i == 0 {
 			hash = append(hash, trace.Empty().Hash())
 			length = append(length, 0)
 			x.parent = append(x.parent, -1)
 			x.event = append(x.event, -1)
-		case pref > uint64(i):
-			sr.fail("member %d's parent reference %d is not an earlier member", i, pref-1)
-		default:
-			ev, n, err := trace.DecodeEventBinary(sr.b[sr.off:], strs)
-			if err != nil {
-				sr.fail("member %d: %v", i, err)
-				break
+		} else {
+			d, ev := sr.uvarint(), sr.uvarint()
+			par += min(d, uint64(i)) // no wraparound past an honest parent
+			switch {
+			case sr.err != nil:
+			case par >= uint64(i):
+				sr.fail("member %d's parent %d is not an earlier member", i, par)
+			case ev > met || ev >= uint64(len(x.events)):
+				sr.fail("member %d: event %d is out of first-occurrence order", i, ev)
+			default:
+				if ev == met {
+					met++
+				}
+				h := hash[par].ExtendEvent(x.events[ev])
+				if x.parent[i-1] == int32(par) && !hash[i-1].Less(h) {
+					sr.fail("members %d and %d out of sibling order", i-1, i)
+				}
+				hash = append(hash, h)
+				length = append(length, length[par]+1)
+				x.parent = append(x.parent, int32(par))
+				x.event = append(x.event, int32(ev))
 			}
-			sr.off += n
-			hash = append(hash, hash[pref-1].ExtendEvent(ev))
-			length = append(length, length[pref-1]+1)
-			x.parent = append(x.parent, int32(pref-1))
-			x.event = append(x.event, x.intern(&ev))
 		}
 		if sv := sr.uvarint(); sr.err == nil {
 			if sv >= uint64(len(vecs)) {
@@ -353,51 +365,20 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 			}
 		}
 	}
-	// Canonical order is asserted by the writer; re-verify it rather
-	// than trusting the file, since everything downstream (Transitions
-	// identity order, Extend's concatenation) leans on it.
-	for i := 1; i < len(hash) && sr.err == nil; i++ {
-		if length[i-1] > length[i] || (length[i-1] == length[i] && !hash[i-1].Less(hash[i])) {
-			sr.fail("members %d and %d out of canonical order", i-1, i)
-		}
+	if sr.err == nil && met != uint64(len(x.events)) {
+		sr.fail("%d of %d events belong to no member", uint64(len(x.events))-met, len(x.events))
 	}
 	if sr.err != nil {
 		return nil, "", sr.err
 	}
 
-	// The strict canonical order just verified implies the members are
-	// pairwise distinct, so wrap the columns directly; the hash index
-	// (like the projection-key indexes) rebuilds lazily if the workload
-	// probes it.
+	// The order just verified makes the members pairwise distinct, so
+	// wrap the columns directly; the hash index (like the projection-key
+	// indexes) rebuilds lazily if the workload probes it.
 	u := newSorted(hash, length, x, trace.NewProcSet(procIDs...))
 	u.maxEvents = int(maxEvents)
 	u.states = newStateTableFrom(vecs)
 	u.memberSV = svs
-
-	// Transition graph.
-	if flag := sr.bytes(1); sr.err == nil && flag[0] != 0 {
-		t := &Transitions{
-			parent: make([]int32, nmem),
-			label:  make([]int32, nmem),
-			procs:  procIDs,
-		}
-		for j := 0; j < nmem && sr.err == nil; j++ {
-			pref, lref := sr.uvarint(), sr.uvarint()
-			if pref > uint64(j) {
-				sr.fail("transition %d: parent %d is not an earlier member", j, pref-1)
-				break
-			}
-			if lref > uint64(len(procIDs)) {
-				sr.fail("transition %d: label %d out of range", j, lref-1)
-				break
-			}
-			t.parent[j], t.label[j] = int32(pref)-1, int32(lref)-1
-		}
-		if sr.err == nil {
-			t.buildForward()
-			u.transOnce.Do(func() { u.trans.Store(t) })
-		}
-	}
 
 	// Partition tables.
 	nparts := sr.count(sr.rem())
@@ -427,16 +408,16 @@ func ReadSnapshot(r io.Reader) (*Universe, string, error) {
 		})
 	}
 
-	// Symmetry section (version 2 only).
-	if version == snapshotVersionSym && sr.err == nil {
-		classes := make([][]trace.ProcID, 0, sr.count(sr.rem()))
-		for n := cap(classes); len(classes) < n && sr.err == nil; {
-			cl := make([]trace.ProcID, 0, sr.count(sr.rem()))
-			for k := cap(cl); len(cl) < k && sr.err == nil; {
-				cl = append(cl, trace.ProcID(sr.str(strs)))
-			}
-			classes = append(classes, cl)
+	// Symmetry section.
+	classes := make([][]trace.ProcID, 0, sr.count(sr.rem()))
+	for n := cap(classes); len(classes) < n && sr.err == nil; {
+		cl := make([]trace.ProcID, 0, sr.count(sr.rem()))
+		for k := cap(cl); len(cl) < k && sr.err == nil; {
+			cl = append(cl, trace.ProcID(sr.str(strs)))
 		}
+		classes = append(classes, cl)
+	}
+	if len(classes) > 0 && sr.err == nil {
 		orbs := make([]int64, 0, nmem)
 		for i := 0; i < nmem && sr.err == nil; i++ {
 			o := sr.uvarint()

@@ -26,9 +26,8 @@ func goldenUniverse(t testing.TB) *universe.Universe {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the optional sections so the golden bytes cover every
-	// section of the format.
-	u.Transitions()
+	// Build partition tables so the golden bytes cover every section
+	// of the format.
 	u.Partition(u.All())
 	u.Partition(trace.Singleton("p"))
 	return u
@@ -45,8 +44,8 @@ func goldenBytes(t testing.TB) []byte {
 
 // TestSnapshotRoundTrip writes and reloads the universe of every
 // protocol in internal/protocols and requires the loaded universe to be
-// indistinguishable: same members, Partition tables, Transitions, and
-// digest, with class-by-key lookups (served by the lazily rebuilt
+// indistinguishable: same members, Partition tables, Transitions
+// (rebuilt from the loaded columns), and digest, with class-by-key lookups (served by the lazily rebuilt
 // projection index) intact.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, e := range allProtocols(t) {
@@ -56,7 +55,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Transitions()
 			want.Partition(want.All())
 			for _, p := range want.All().IDs() {
 				want.Partition(trace.Singleton(p))
@@ -101,7 +99,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 		MaxSends: 2,
 	})
 	write := func(u *universe.Universe) []byte {
-		u.Transitions()
 		u.Partition(u.All())
 		var buf bytes.Buffer
 		if err := universe.WriteSnapshot(&buf, u, "det"); err != nil {
@@ -162,7 +159,7 @@ func TestSnapshotGolden(t *testing.T) {
 }
 
 // TestSnapshotRejectsHandBuilt pins that snapshots only serialize
-// enumerated universes, which carry canonical order and state vectors.
+// enumerated universes, which carry level order and state vectors.
 func TestSnapshotRejectsHandBuilt(t *testing.T) {
 	g := goldenUniverse(t)
 	hand := universe.New(g.Computations(), g.All())
@@ -189,6 +186,22 @@ func TestSnapshotFormatErrors(t *testing.T) {
 		_, _, err := universe.ReadSnapshot(bytes.NewReader(bad))
 		if !errors.Is(err, universe.ErrSnapshotVersion) {
 			t.Fatalf("err = %v, want ErrSnapshotVersion", err)
+		}
+	})
+
+	t.Run("retired_versions", func(t *testing.T) {
+		// The golden file of version 1, and the current one relabelled
+		// as version 2: neither format is read any more.
+		v1, err := os.ReadFile(filepath.Join("testdata", "free_p_q_s1_me3.v1.hplsnap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := bytes.Clone(good)
+		v2[6] = 2
+		for _, old := range [][]byte{v1, v2} {
+			if _, _, err := universe.ReadSnapshot(bytes.NewReader(old)); !errors.Is(err, universe.ErrSnapshotVersion) {
+				t.Fatalf("version %d: err = %v, want ErrSnapshotVersion", old[6], err)
+			}
 		}
 	})
 
@@ -247,7 +260,6 @@ func TestSnapshotLoadConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig.Transitions()
 	orig.Partition(orig.All())
 	var buf bytes.Buffer
 	if err := universe.WriteSnapshot(&buf, orig, "race"); err != nil {

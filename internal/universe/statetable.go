@@ -3,12 +3,12 @@ package universe
 import "sync"
 
 // stateTable interns per-process local-state vectors to dense int32
-// identifiers. Frontier nodes carry one int32 instead of a cloned
+// identifiers. Members carry one int32 instead of a cloned
 // map[ProcID]string — the number of distinct state vectors of a finite
 // protocol is tiny compared to the number of computations, so the
 // engine's per-child map copies collapse into interner hits. The table
 // is shared by all workers (identifiers must be globally meaningful,
-// since nodes cross workers through the queue) and is read-mostly;
+// since a level one worker emits is expanded by all) and is read-mostly;
 // workers additionally keep their own lock-free caches on top (see
 // worker in engine.go).
 type stateTable struct {

@@ -37,7 +37,7 @@ import (
 // {hash(c+σ·ev) : σ ∈ Stab(c)}. Because σ·c = c holds position-wise,
 // Stab(c) is the pointwise stabilizer of c's *support* — the processes
 // appearing as Proc or Peer of any event — so a 64-bit support mask per
-// frontier node identifies the stabilizer, and the orbit size of a
+// member identifies the stabilizer, and the orbit size of a
 // representative is a product of falling factorials over how many
 // members of each class its support touches.
 

@@ -13,16 +13,16 @@ import "hpl/internal/trace"
 // prefix is not a member (just the null computation, when the universe
 // is prefix closed).
 //
-// The graph is stored as a CSR-style adjacency arena: a dense parent
-// array is the reverse relation, and forward successor lists are laid
-// out back to back in one slice, grouped by source and addressed by
-// offsets. Each edge is labelled with the process that performs the
-// extending event, so per-process step relations need no event
-// inspection. Transitions are immutable once built and safe for
-// concurrent readers; build them through Universe.Transitions, which
-// constructs the graph once from the universe's prefix index and shares
-// it, alongside the Partition tables, between every evaluator over the
-// universe.
+// The graph is stored as columns over the prefix index: the parent
+// array is the reverse relation, and because the prefix tree's level
+// order keeps each member's children contiguous, the forward relation
+// is one child range per member. Each edge is labelled with the process
+// that performs the extending event, so per-process step relations
+// need no event inspection. Transitions are immutable once built and
+// safe for concurrent readers; build them through
+// Universe.Transitions, which constructs the graph once from the
+// universe's prefix index and shares it, alongside the Partition
+// tables, between every evaluator over the universe.
 type Transitions struct {
 	// parent[j] is the member index of j's one-event-shorter prefix, or
 	// -1 when that prefix is not a member of the universe.
@@ -30,16 +30,15 @@ type Transitions struct {
 	// label[j] is the index (into procs) of the process whose event
 	// extends parent[j] to j; -1 when j has no parent edge.
 	label []int32
-	// succOff/succ are the CSR forward adjacency: the successors of i
-	// are succ[succOff[i]:succOff[i+1]], ascending. succLab carries the
-	// matching edge labels.
-	succOff []int32
-	succ    []int32
-	succLab []int32
-	// order lists member indexes in ascending event count: a topological
-	// order of the graph (every edge adds one event), which lets the
-	// temporal fixpoints run as single sweeps instead of iterating.
+	// order lists member indexes in ascending event count, each
+	// member's children contiguous: a topological order of the graph
+	// (every edge adds one event), which lets the temporal fixpoints
+	// run as single sweeps instead of iterating. It is the identity on
+	// level-ordered universes.
 	order []int32
+	// kids[i] is the range of order holding i's children.
+	kids  [][2]int32
+	edges int
 	// procs indexes the edge labels.
 	procs []trace.ProcID
 }
@@ -48,7 +47,7 @@ type Transitions struct {
 func (t *Transitions) Len() int { return len(t.parent) }
 
 // NumEdges reports the number of one-event-extension edges.
-func (t *Transitions) NumEdges() int { return len(t.succ) }
+func (t *Transitions) NumEdges() int { return t.edges }
 
 // Parent returns the member index of i's one-event-shorter prefix, or
 // -1 when the prefix is not a member (only the null computation, on
@@ -65,25 +64,14 @@ func (t *Transitions) Label(i int) (trace.ProcID, bool) {
 }
 
 // Succ returns the member indexes reached from i by one extension
-// event, ascending. The slice aliases the arena and MUST be treated as
-// read-only.
-func (t *Transitions) Succ(i int) []int32 { return t.succ[t.succOff[i]:t.succOff[i+1]] }
-
-// SuccOn returns the successors of i whose extending event is on
-// process p. The slice is freshly allocated.
-func (t *Transitions) SuccOn(i int, p trace.ProcID) []int32 {
-	var out []int32
-	for k := t.succOff[i]; k < t.succOff[i+1]; k++ {
-		if t.procs[t.succLab[k]] == p {
-			out = append(out, t.succ[k])
-		}
-	}
-	return out
-}
+// event, in the universe's sibling (hash) order — ascending, on
+// level-ordered universes. The slice aliases the graph and MUST be
+// treated as read-only.
+func (t *Transitions) Succ(i int) []int32 { return t.order[t.kids[i][0]:t.kids[i][1]] }
 
 // HasSucc reports whether i has at least one extension in the universe
 // (false exactly at the maximal computations of the event bound).
-func (t *Transitions) HasSucc(i int) bool { return t.succOff[i] < t.succOff[i+1] }
+func (t *Transitions) HasSucc(i int) bool { return t.kids[i][0] < t.kids[i][1] }
 
 // Order returns the member indexes in ascending event count — a
 // topological order of the extension edges. The slice aliases the graph
@@ -113,55 +101,12 @@ func NewTransitions(u *Universe) *Transitions {
 			evLabel[e] = li
 		}
 	}
-	// Topological order: ascending event count, which is the index's
-	// parent-first order (nil, hence the identity, on sorted universes).
 	t := &Transitions{
 		parent: x.parent,
 		label:  make([]int32, n),
 		order:  x.order,
+		kids:   make([][2]int32, n),
 		procs:  procs,
-	}
-	for j, par := range x.parent {
-		t.label[j] = -1
-		if par >= 0 {
-			t.label[j] = evLabel[x.event[j]]
-		}
-	}
-	t.buildForward()
-	return t
-}
-
-// buildForward derives the CSR forward adjacency from the parent/label
-// arrays — a counting sort, shared by NewTransitions and the snapshot
-// loader (which persists only the reverse relation) — and defaults the
-// topological order to the identity, which is correct for canonically
-// sorted universes.
-func (t *Transitions) buildForward() {
-	n := len(t.parent)
-	// Member indexes ascend within each group because j ascends.
-	counts := make([]int32, n+1)
-	for _, p := range t.parent {
-		if p >= 0 {
-			counts[p]++
-		}
-	}
-	t.succOff = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		t.succOff[i+1] = t.succOff[i] + counts[i]
-	}
-	edges := int(t.succOff[n])
-	t.succ = make([]int32, edges)
-	t.succLab = make([]int32, edges)
-	next := make([]int32, n)
-	copy(next, t.succOff[:n])
-	for j := 0; j < n; j++ {
-		p := t.parent[j]
-		if p < 0 {
-			continue
-		}
-		t.succ[next[p]] = int32(j)
-		t.succLab[next[p]] = t.label[j]
-		next[p]++
 	}
 	if t.order == nil {
 		t.order = make([]int32, n)
@@ -169,6 +114,23 @@ func (t *Transitions) buildForward() {
 			t.order[i] = int32(i)
 		}
 	}
+	// A child never sits at position 0, ahead of its parent, so an
+	// empty range marks a member whose children are still to come.
+	for k, j := range t.order {
+		t.label[j] = -1
+		par := x.parent[j]
+		if par < 0 {
+			continue
+		}
+		t.label[j] = evLabel[x.event[j]]
+		r := &t.kids[par]
+		if r[1] == 0 {
+			r[0] = int32(k)
+		}
+		r[1] = int32(k) + 1
+		t.edges++
+	}
+	return t
 }
 
 // Transitions returns the universe's prefix-extension transition graph,
@@ -177,14 +139,8 @@ func (u *Universe) Transitions() *Transitions {
 	u.transOnce.Do(func() {
 		u.prefixIndex() // a phase of its own, not part of this build's
 		sp := u.tr.Start("transitions.build")
-		u.trans.Store(NewTransitions(u))
+		u.trans = NewTransitions(u)
 		phaseTransitions.ObserveDuration(sp.End())
 	})
-	return u.trans.Load()
+	return u.trans
 }
-
-// transitionsIfBuilt returns the cached graph without building one:
-// non-nil exactly when some caller has completed Transitions (or a
-// snapshot load installed it). The snapshot writer peeks through this
-// so it never races a build in progress.
-func (u *Universe) transitionsIfBuilt() *Transitions { return u.trans.Load() }

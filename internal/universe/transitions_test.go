@@ -56,8 +56,9 @@ func TestTransitionsParentIsPrefix(t *testing.T) {
 	}
 }
 
-// TestTransitionsSuccInvertsParent pins the CSR forward lists to the
-// parent array: j ∈ Succ(i) exactly when Parent(j) == i, ascending.
+// TestTransitionsSuccInvertsParent pins the child ranges to the parent
+// array: j ∈ Succ(i) exactly when Parent(j) == i, ascending, and each
+// edge is labelled by the process of the extending event.
 func TestTransitionsSuccInvertsParent(t *testing.T) {
 	u := transUniverse(t, 5)
 	tr := u.Transitions()
@@ -72,15 +73,8 @@ func TestTransitionsSuccInvertsParent(t *testing.T) {
 			if tr.Parent(int(j)) != i {
 				t.Fatalf("edge %d→%d not mirrored by Parent", i, j)
 			}
-			lab, _ := tr.Label(int(j))
-			found := false
-			for _, k := range tr.SuccOn(i, lab) {
-				if k == j {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("SuccOn(%d,%q) misses child %d", i, lab, j)
+			if lab, ok := tr.Label(int(j)); !ok || lab != u.At(int(j)).At(u.At(int(j)).Len()-1).Proc {
+				t.Fatalf("edge %d→%d labelled %q,%v, not by its event's process", i, j, lab, ok)
 			}
 			edges++
 		}

@@ -64,18 +64,20 @@ type Universe struct {
 	// byHash indexes members by their 128-bit canonical hash. No string
 	// keys are retained: membership and class lookups discriminate on
 	// (hash, length), which separates distinct computations up to the
-	// ~2^-128 collision assumption (see trace.Hash128). Enumeration
-	// checks the part of it this index leans on: two members of one
-	// length with equal hashes fail the run with ErrHashCollision, and
-	// snapshot loads reject them as out of order. New builds it eagerly
-	// (it doubles as the dedup pass); sorted universes build it lazily
-	// under hashOnce on first IndexOf, so enumeration and snapshot loads
-	// never pay for an index the workload may not probe.
+	// ~2^-128 collision assumption (see trace.Hash128). New builds it
+	// eagerly (it doubles as the dedup pass); sorted universes build it
+	// lazily under hashOnce on first IndexOf, so enumeration and snapshot
+	// loads never pay for an index the workload may not probe. That
+	// build checks the part of the assumption the index leans on: two
+	// members of one length with equal hashes leave hashErr, an
+	// ErrHashCollision, which IndexOf raises.
 	byHash   map[trace.Hash128]int32
 	hashOnce sync.Once
+	hashErr  error
 	all      trace.ProcSet
-	// sorted records that members are in canonical (length, hash)
-	// order and prefix closed — set by the enumeration engine and
+	// sorted records that members are in the prefix tree's level order
+	// — by length, then the parent's member index, then hash among
+	// siblings — and prefix closed: set by the enumeration engine and
 	// snapshot loads, which hand the universe its prefix index.
 	sorted bool
 	// parts caches the [P]-partition table per P.Key(); see Partition.
@@ -89,11 +91,8 @@ type Universe struct {
 	prefix     *prefixIndex
 	// trans caches the prefix-extension transition graph; see
 	// Transitions. Built on first use, shared by concurrent evaluators.
-	// The atomic pointer is published inside the once so concurrent
-	// peekers (the snapshot writer) can observe a completed build
-	// without racing one in progress.
 	transOnce sync.Once
-	trans     atomic.Pointer[Transitions]
+	trans     *Transitions
 
 	// proto is the protocol the universe was enumerated from; nil for
 	// hand-built (New) universes and snapshot loads until BindProtocol.
@@ -155,10 +154,10 @@ func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 	return u
 }
 
-// newSorted wraps columns that are already in canonical (length, hash)
-// order, distinct and prefix closed — the enumeration engine's and the
-// snapshot loader's output — with x their prefix index. It skips New's
-// dedup pass; the hash index is built lazily on first IndexOf.
+// newSorted wraps columns that are already in level order, distinct and
+// prefix closed — the enumeration engine's and the snapshot loader's
+// output — with x their prefix index. It skips New's dedup pass; the
+// hash index is built lazily on first IndexOf.
 func newSorted(hash []trace.Hash128, length []int32, x *prefixIndex, all trace.ProcSet) *Universe {
 	u := &Universe{
 		hash:      hash,
@@ -177,6 +176,10 @@ func (u *Universe) buildHashIndex() {
 	}
 	idx := make(map[trace.Hash128]int32, len(u.hash))
 	for i, h := range u.hash {
+		if j, ok := idx[h]; ok && u.length[j] == u.length[i] {
+			u.hashErr = fmt.Errorf("%w: %q vs %q", ErrHashCollision, u.At(int(j)).Key(), u.At(i).Key())
+			return
+		}
 		idx[h] = int32(i)
 	}
 	u.byHash = idx
@@ -229,9 +232,14 @@ func (u *Universe) At(i int) *trace.Computation {
 func (u *Universe) All() trace.ProcSet { return u.all }
 
 // IndexOf returns the index of the computation (by sequence identity), or
-// -1 when it is not a member.
+// -1 when it is not a member. It panics with an error wrapping
+// ErrHashCollision, on every call, when two members of one length share
+// a hash: the index cannot tell them apart.
 func (u *Universe) IndexOf(c *trace.Computation) int {
 	u.hashOnce.Do(u.buildHashIndex)
+	if u.hashErr != nil {
+		panic(u.hashErr)
+	}
 	if i, ok := u.byHash[c.Hash()]; ok && int(u.length[i]) == c.Len() {
 		return int(i)
 	}
@@ -239,9 +247,9 @@ func (u *Universe) IndexOf(c *trace.Computation) int {
 }
 
 // Initial returns the member index of the null computation, or -1 when
-// it is not a member. Canonically ordered universes (enumerated,
-// extended or snapshot-loaded) sort by length first, so theirs is
-// member 0 and no hash index is built; New universes look it up.
+// it is not a member. Level-ordered universes (enumerated, extended or
+// snapshot-loaded) sort by length first, so theirs is member 0 and no
+// hash index is built; New universes look it up.
 func (u *Universe) Initial() int {
 	if !u.sorted {
 		return u.IndexOf(trace.Empty())

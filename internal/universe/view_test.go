@@ -105,7 +105,7 @@ func TestViewsMatchReference(t *testing.T) {
 }
 
 // TestViewsOfHandBuiltUniverse checks New's side of the contract: a
-// hand-built universe, here out of canonical order and not prefix
+// hand-built universe, here out of level order and not prefix
 // closed, returns the very computations it was given, and its parent
 // column names a member exactly when the computation's prefix is one.
 func TestViewsOfHandBuiltUniverse(t *testing.T) {
