@@ -46,7 +46,8 @@ func main() {
 			n, ck.MustHolds(qKnows, x), ck.MustHolds(rKnowsQKnows, x))
 	}
 
-	// A randomized long simulation conserves the token.
+	// A random walk of the same protocol, 30 hops long, conserves the
+	// token.
 	comp, err := bus.Simulate(7, 30)
 	if err != nil {
 		panic(err)
@@ -57,6 +58,6 @@ func main() {
 			holders++
 		}
 	}
-	fmt.Printf("\nsimulated 30 hops (%d events); token holders at end: %d, in flight: %d\n",
+	fmt.Printf("\nwalked 30 hops (%d events); token holders at end: %d, in flight: %d\n",
 		comp.Len(), holders, len(comp.InFlight()))
 }

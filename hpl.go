@@ -4,8 +4,9 @@
 // respect to process sets, process chains (happened-before), fusion of
 // computations, and knowledge defined extensionally from isomorphism —
 // together with exhaustive model checkers for every theorem in the paper
-// and simulation harnesses for its §5 applications (tracking, failure
-// detection, termination detection).
+// and, for its §5 applications (tracking, failure detection, termination
+// detection), harnesses that take random walks of the same protocol
+// definitions the model checkers enumerate.
 //
 // # Quick start
 //

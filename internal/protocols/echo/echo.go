@@ -9,14 +9,21 @@
 // through every vertex v (Theorem 1 territory), which is exactly why the
 // decision carries knowledge — the tests verify those chains on the
 // recorded computations.
+//
+// The algorithm is one universe.Protocol (System): the same definition
+// is enumerated exhaustively, walked at random by Run, and wrapped by
+// faults.Wrap.
 package echo
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
-	"hpl/internal/sim"
 	"hpl/internal/trace"
+	"hpl/internal/universe"
 )
 
 // Message tags.
@@ -51,7 +58,7 @@ func (g Graph) Validate() error {
 			if !idx[q] {
 				return fmt.Errorf("echo: %s adjacent to unknown %s", p, q)
 			}
-			if !contains(g.Neighbors[q], p) {
+			if !slices.Contains(g.Neighbors[q], p) {
 				return fmt.Errorf("echo: edge %s-%s not symmetric", p, q)
 			}
 		}
@@ -75,82 +82,126 @@ func (g Graph) Validate() error {
 	return nil
 }
 
-func contains(xs []trace.ProcID, x trace.ProcID) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
+// System is the echo algorithm on a graph from one initiator, as a
+// universe.Protocol: enumeration, Run's random walk and faults.Wrap all
+// take this one definition.
+//
+// A process's local state is "<parent>|<sent>|<answers>|<done>". The
+// parent is empty until the first wave arrives, and the initiator's own
+// name for the initiator. sent counts the waves forwarded so far, to the
+// neighbours other than the parent in adjacency order. answers counts
+// the waves and echoes received from neighbours after the first wave.
+// done is 1 once the process has echoed to its parent or, for the
+// initiator, decided.
+type System struct {
+	g         Graph
+	initiator trace.ProcID
 }
 
-// node implements one echo process.
+var _ universe.Protocol = (*System)(nil)
+
+// New validates the graph and the initiator and builds the system.
+func New(g Graph, initiator trace.ProcID) (*System, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if !slices.Contains(g.Procs, initiator) {
+		return nil, fmt.Errorf("echo: initiator %s not in graph", initiator)
+	}
+	return &System{g: g, initiator: initiator}, nil
+}
+
+// Procs returns the graph's processes.
+func (s *System) Procs() []trace.ProcID { return slices.Clone(s.g.Procs) }
+
+// node is a decoded local state.
 type node struct {
-	self      trace.ProcID
-	initiator bool
-	nbrs      []trace.ProcID
-	parent    trace.ProcID
-	seen      bool
-	answers   int
-	decided   bool
-	started   bool
+	parent        trace.ProcID
+	sent, answers int
+	done          bool
 }
 
-var _ sim.Node = (*node)(nil)
-
-func (n *node) Init(api sim.API) {
-	if !n.initiator {
-		return
+func (n node) String() string {
+	done := "0"
+	if n.done {
+		done = "1"
 	}
-	n.seen = true
-	n.started = true
-	for _, q := range n.nbrs {
-		_ = api.Send(q, TagWave)
-	}
-	// A neighbourless initiator decides immediately.
-	n.maybeEcho(api)
+	return string(n.parent) + "|" + strconv.Itoa(n.sent) + "|" + strconv.Itoa(n.answers) + "|" + done
 }
 
-func (n *node) OnReceive(api sim.API, from trace.ProcID, tag string) {
-	switch tag {
-	case TagWave:
-		if !n.seen {
-			n.seen = true
-			n.parent = from
-			for _, q := range n.nbrs {
-				if q != from {
-					_ = api.Send(q, TagWave)
-				}
-			}
-			n.maybeEcho(api)
-			return
+func parseNode(state string) node {
+	f := strings.Split(state, "|")
+	sent, _ := strconv.Atoi(f[1])
+	answers, _ := strconv.Atoi(f[2])
+	return node{parent: trace.ProcID(f[0]), sent: sent, answers: answers, done: f[3] == "1"}
+}
+
+// Init gives the initiator itself as parent: it has seen the wave.
+func (s *System) Init(p trace.ProcID) string {
+	if p == s.initiator {
+		return node{parent: p}.String()
+	}
+	return node{}.String()
+}
+
+// targets returns the neighbours p forwards the wave to: all but its
+// parent.
+func (s *System) targets(p, parent trace.ProcID) []trace.ProcID {
+	var out []trace.ProcID
+	for _, q := range s.g.Neighbors[p] {
+		if q != parent {
+			out = append(out, q)
 		}
-		n.answers++
-		n.maybeEcho(api)
-	case TagEcho:
-		n.answers++
-		n.maybeEcho(api)
 	}
+	return out
 }
 
-// maybeEcho fires when every neighbour other than the parent has
-// answered (wave or echo); the initiator instead decides when all of its
-// neighbours have answered.
-func (n *node) maybeEcho(api sim.API) {
-	if n.initiator {
-		if !n.decided && n.answers == len(n.nbrs) {
-			n.decided = true
-			api.Internal(TagDecide)
-		}
-		return
+// Steps forwards the wave to the next target; once every target has
+// it, a process echoes to its parent when every neighbour but the
+// parent has answered, and the initiator decides when every neighbour
+// has.
+func (s *System) Steps(p trace.ProcID, state string) []universe.Action {
+	n := parseNode(state)
+	if n.parent == "" || n.done {
+		return nil
 	}
-	if n.seen && !n.decided && n.answers == len(n.nbrs)-1 {
-		n.decided = true // echo sent exactly once
-		_ = api.Send(n.parent, TagEcho)
+	if ts := s.targets(p, n.parent); n.sent < len(ts) {
+		return []universe.Action{{Kind: trace.KindSend, To: ts[n.sent], Tag: TagWave}}
 	}
+	switch nbrs := len(s.g.Neighbors[p]); {
+	case p == s.initiator && n.answers == nbrs:
+		return []universe.Action{{Kind: trace.KindInternal, Tag: TagDecide}}
+	case p != s.initiator && n.answers == nbrs-1:
+		return []universe.Action{{Kind: trace.KindSend, To: n.parent, Tag: TagEcho}}
+	}
+	return nil
 }
 
-func (n *node) OnStep(sim.API) bool { return false }
+// AfterStep counts a forwarded wave, or marks the echo or decision.
+func (s *System) AfterStep(_ trace.ProcID, state string, a universe.Action) string {
+	n := parseNode(state)
+	if a.Tag == TagWave {
+		n.sent++
+	} else {
+		n.done = true
+	}
+	return n.String()
+}
+
+// Deliver takes the first wave's sender as parent and counts every
+// later wave or echo as an answer.
+func (s *System) Deliver(_ trace.ProcID, state string, from trace.ProcID, tag string) (string, bool) {
+	if tag != TagWave && tag != TagEcho {
+		return "", false
+	}
+	n := parseNode(state)
+	if n.parent == "" {
+		n.parent = from
+	} else {
+		n.answers++
+	}
+	return n.String(), true
+}
 
 // Result reports one echo run.
 type Result struct {
@@ -163,19 +214,13 @@ type Result struct {
 	Comp *trace.Computation
 }
 
-// Run executes the echo algorithm from the given initiator.
+// Run walks the echo algorithm from the given initiator to quiescence.
 func Run(g Graph, initiator trace.ProcID, seed int64) (Result, error) {
-	if err := g.Validate(); err != nil {
+	sys, err := New(g, initiator)
+	if err != nil {
 		return Result{}, err
 	}
-	if !contains(g.Procs, initiator) {
-		return Result{}, fmt.Errorf("echo: initiator %s not in graph", initiator)
-	}
-	nodes := make(map[trace.ProcID]sim.Node, len(g.Procs))
-	for _, p := range g.Procs {
-		nodes[p] = &node{self: p, initiator: p == initiator, nbrs: g.Neighbors[p]}
-	}
-	comp, err := sim.NewRunner(nodes, sim.Config{Seed: seed}).Run()
+	comp, err := universe.Walk(sys, universe.WalkConfig{Seed: seed})
 	if err != nil {
 		return Result{}, fmt.Errorf("echo: %w", err)
 	}

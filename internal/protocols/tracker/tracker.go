@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"hpl/internal/knowledge"
-	"hpl/internal/sim"
 	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
@@ -143,62 +142,3 @@ func (s *System) Enumerate(maxEvents, capN int) (*universe.Universe, error) {
 // SuggestedMaxEvents is the bound under which every flip's consequences
 // fit in the universe.
 func (s *System) SuggestedMaxEvents() int { return 3 * s.MaxFlips }
-
-// --- sim nodes for window measurement ---
-
-// OwnerNode flips and notifies in simulation.
-type OwnerNode struct {
-	Sys     *System
-	Flips   int // flips still to perform
-	flipped int
-	dirty   bool
-}
-
-var _ sim.Node = (*OwnerNode)(nil)
-
-// Init does nothing; flips happen on steps.
-func (n *OwnerNode) Init(sim.API) {}
-
-// OnReceive ignores everything (the tracker never sends).
-func (n *OwnerNode) OnReceive(sim.API, trace.ProcID, string) {}
-
-// OnStep alternates flip and notify until the budget is spent.
-func (n *OwnerNode) OnStep(api sim.API) bool {
-	if n.dirty {
-		if err := api.Send(n.Sys.Tracker, noteTag(n.flipped)); err != nil {
-			return false
-		}
-		n.dirty = false
-		return true
-	}
-	if n.flipped < n.Flips {
-		api.Internal(TagFlip)
-		n.flipped++
-		n.dirty = true
-		return true
-	}
-	return false
-}
-
-// TrackerNode records its current belief about the bit.
-type TrackerNode struct {
-	Belief bool
-	Seen   int
-}
-
-var _ sim.Node = (*TrackerNode)(nil)
-
-// Init starts believing false (the initial bit value).
-func (n *TrackerNode) Init(sim.API) {}
-
-// OnReceive updates the belief from the notification payload.
-func (n *TrackerNode) OnReceive(_ sim.API, _ trace.ProcID, tag string) {
-	if !strings.HasPrefix(tag, TagNotify+":") {
-		return
-	}
-	n.Belief = strings.TrimPrefix(tag, TagNotify+":") == "true"
-	n.Seen++
-}
-
-// OnStep does nothing.
-func (n *TrackerNode) OnStep(sim.API) bool { return false }

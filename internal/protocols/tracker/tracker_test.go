@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"hpl/internal/sim"
 	"hpl/internal/trace"
+	"hpl/internal/universe"
 )
 
 func TestEnumerationAlternatesFlipAndNotify(t *testing.T) {
@@ -77,26 +77,34 @@ func boolStr(b bool) string {
 	return "false"
 }
 
-func TestSimNodesRoundTrip(t *testing.T) {
+func TestWalkRoundTrip(t *testing.T) {
 	sys, err := New("q", "p", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := &OwnerNode{Sys: sys, Flips: 5}
-	trk := &TrackerNode{}
-	comp, err := sim.NewRunner(map[trace.ProcID]sim.Node{
-		"q": owner,
-		"p": trk,
-	}, sim.Config{Seed: 4}).Run()
+	comp, err := universe.Walk(sys, universe.WalkConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trk.Seen != 5 {
-		t.Fatalf("tracker saw %d notifications, want 5", trk.Seen)
+	var notes []string
+	for _, e := range comp.Events() {
+		if e.Proc == "p" && e.Kind == trace.KindReceive {
+			notes = append(notes, e.Tag)
+		}
 	}
-	// 5 flips: final parity is odd.
-	if !trk.Belief {
-		t.Fatalf("final belief must be true after 5 flips")
+	if len(notes) != 5 {
+		t.Fatalf("tracker saw %d notifications, want 5", len(notes))
+	}
+	// Flips 1, 3 and 5 leave the bit true, and the walk ends only once
+	// every notification is delivered.
+	odd := 0
+	for _, n := range notes {
+		if n == TagNotify+":true" {
+			odd++
+		}
+	}
+	if odd != 3 || len(comp.InFlight()) != 0 {
+		t.Fatalf("notifications %v, in flight %v", notes, comp.InFlight())
 	}
 	if got := comp.CountKind(trace.Singleton("q"), trace.KindInternal); got != 5 {
 		t.Fatalf("flip events = %d", got)

@@ -17,6 +17,11 @@
 // CheckDetectionChains ties detection back to the knowledge theory:
 // detection is knowledge gain, so a process chain must run from every
 // participant to the detecting root (Theorem 5).
+//
+// Every run is a seeded random walk of a detector's universe.Protocol
+// (see internal/protocols/diffusing), so each computation the sweep
+// measures is a member of the universe enumeration builds from the same
+// definition, which faults.Wrap can also wrap.
 package termination
 
 import (

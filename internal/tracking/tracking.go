@@ -6,21 +6,19 @@
 //     bit's value (CheckUnsureDuringChange);
 //   - the necessary condition for change: at every such point the owner
 //     knows that the tracker is unsure (CheckChangeRequiresKnowledge);
-//   - a quantitative face of the same phenomenon: in simulation, the
-//     interval between a flip and the delivery of its notification is a
-//     window during which the tracker's belief can be wrong
-//     (MeasureWindows).
+//   - a quantitative face of the same phenomenon: on a random walk of the
+//     protocol, the interval between a flip and the delivery of its
+//     notification is a window during which the tracker's belief can be
+//     wrong (MeasureWindows).
 package tracking
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"hpl/internal/knowledge"
 	"hpl/internal/protocols/tracker"
-	"hpl/internal/sim"
 	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
@@ -126,7 +124,7 @@ func build(maxFlips int) (*tracker.System, *universe.Universe, *knowledge.Evalua
 	return sys, u, e, bit, nil
 }
 
-// Windows reports belief-accuracy measurements from one simulated run.
+// Windows reports belief-accuracy measurements from one walked run.
 type Windows struct {
 	// Flips is the number of bit changes performed.
 	Flips int
@@ -148,7 +146,7 @@ func (w Windows) WrongFraction() float64 {
 	return float64(w.WrongBeliefEvents) / float64(w.Events)
 }
 
-// MeasureWindows simulates the tracker protocol and measures how long
+// MeasureWindows walks the tracker protocol and measures how long
 // the tracker's belief about the bit stays wrong — the operational
 // consequence of the unsure-during-change theorem: the belief is wrong
 // exactly between a flip and the delivery of its notification.
@@ -157,15 +155,7 @@ func MeasureWindows(seed int64, flips int) (Windows, error) {
 	if err != nil {
 		return Windows{}, err
 	}
-	owner := &tracker.OwnerNode{Sys: sys, Flips: flips}
-	trk := &tracker.TrackerNode{}
-	// Scheduler seed mixed so distinct callers explore distinct delivery
-	// delays.
-	r := rand.New(rand.NewSource(seed))
-	comp, err := sim.NewRunner(map[trace.ProcID]sim.Node{
-		sys.Owner:   owner,
-		sys.Tracker: trk,
-	}, sim.Config{Seed: r.Int63()}).Run()
+	comp, err := universe.Walk(sys, universe.WalkConfig{Seed: seed})
 	if err != nil {
 		return Windows{}, fmt.Errorf("tracking: %w", err)
 	}

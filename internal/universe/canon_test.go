@@ -11,7 +11,8 @@ import (
 
 // TestCanonicalOrderSameHashDifferentLength pins the length safety net:
 // computations with equal 128-bit hashes but different lengths are
-// certainly distinct, so building the hash index over them succeeds.
+// certainly distinct, so building the hash index over them succeeds and
+// finds both.
 func TestCanonicalOrderSameHashDifferentLength(t *testing.T) {
 	u := freeTwoProc(t, 3)
 	if u.length[1] != 1 || u.length[u.Len()-1] != 3 {
@@ -20,6 +21,10 @@ func TestCanonicalOrderSameHashDifferentLength(t *testing.T) {
 	u.hash[u.Len()-1] = u.hash[1]
 	if i := u.IndexOf(u.At(0)); i != 0 {
 		t.Fatalf("IndexOf(null) = %d", i)
+	}
+	// The earlier member stays reachable: the index keys on length too.
+	if i := u.IndexOf(u.At(1)); i != 1 {
+		t.Fatalf("IndexOf(member 1) = %d after a longer member took its hash", i)
 	}
 }
 

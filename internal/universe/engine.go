@@ -621,31 +621,17 @@ func (w *worker) expand(j int32) error {
 			return err
 		}
 		for ai, a := range acts {
-			var ev trace.Event
+			ev := trace.Event{
+				ID:   e.eventID(int32(pi), w.evCount[pi]),
+				Proc: pid,
+				Kind: a.Kind,
+				Tag:  a.Tag,
+			}
 			qi := int32(-1)
-			switch a.Kind {
-			case trace.KindSend:
-				if _, ok := e.procIdx[a.To]; !ok || a.To == pid {
-					return fmt.Errorf("universe: protocol %T: invalid send %s→%s", e.p, pid, a.To)
-				}
+			if a.Kind == trace.KindSend {
 				qi = e.procIdx[a.To]
-				ev = trace.Event{
-					ID:   e.eventID(int32(pi), w.evCount[pi]),
-					Proc: pid,
-					Kind: trace.KindSend,
-					Msg:  e.msgID(int32(pi), w.nextMsg[pi]),
-					Peer: a.To,
-					Tag:  a.Tag,
-				}
-			case trace.KindInternal:
-				ev = trace.Event{
-					ID:   e.eventID(int32(pi), w.evCount[pi]),
-					Proc: pid,
-					Kind: trace.KindInternal,
-					Tag:  a.Tag,
-				}
-			default:
-				return fmt.Errorf("universe: protocol %T emitted action of kind %v", e.p, a.Kind)
+				ev.Msg = e.msgID(int32(pi), w.nextMsg[pi])
+				ev.Peer = a.To
 			}
 			if e.grp != nil {
 				w.symChecks++
@@ -804,21 +790,44 @@ func (w *worker) vec(sv int32) []string {
 }
 
 // stepActions returns the spontaneous actions enabled for procs[pi] in
-// state vector sv, computed once per (sv, pi) per worker. Actions whose
-// events coincide are collapsed into the first of them in Steps order
-// (see distinctActions), so no parent yields the same child twice.
+// state vector sv, computed once per (sv, pi) per worker (see
+// enabledActions).
 func (w *worker) stepActions(sv, pi int32) ([]Action, error) {
 	k := stepsKey{sv, pi}
 	if a, ok := w.steps[k]; ok {
 		return a, nil
 	}
-	p, s := w.e.procs[pi], w.vec(sv)[pi]
-	a, err := distinctActions(w.e.p, p, s, w.e.p.Steps(p, s))
+	a, err := enabledActions(w.e.p, w.e.procIdx, w.e.procs[pi], w.vec(sv)[pi])
 	if err != nil {
 		return nil, err
 	}
 	w.steps[k] = a
 	return a, nil
+}
+
+// enabledActions returns the spontaneous actions of process p in the
+// local state, as the engine and Walk take them: actions whose events
+// coincide are collapsed into the first of them in Steps order (see
+// distinctActions), so no computation is extended by the same event
+// twice, and every action is checked to be a send to another process
+// of procIdx or an internal event.
+func enabledActions(pr Protocol, procIdx map[trace.ProcID]int32, p trace.ProcID, state string) ([]Action, error) {
+	acts, err := distinctActions(pr, p, state, pr.Steps(p, state))
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range acts {
+		switch a.Kind {
+		case trace.KindSend:
+			if _, ok := procIdx[a.To]; !ok || a.To == p {
+				return nil, fmt.Errorf("universe: protocol %T: invalid send %s→%s", pr, p, a.To)
+			}
+		case trace.KindInternal:
+		default:
+			return nil, fmt.Errorf("universe: protocol %T emitted action of kind %v", pr, a.Kind)
+		}
+	}
+	return acts, nil
 }
 
 // distinctActions returns acts less every action whose event equals an

@@ -61,17 +61,18 @@ type Universe struct {
 	// given.
 	views     []atomic.Pointer[trace.Computation]
 	viewsOnce sync.Once
-	// byHash indexes members by their 128-bit canonical hash. No string
-	// keys are retained: membership and class lookups discriminate on
-	// (hash, length), which separates distinct computations up to the
-	// ~2^-128 collision assumption (see trace.Hash128). New builds it
-	// eagerly (it doubles as the dedup pass); sorted universes build it
-	// lazily under hashOnce on first IndexOf, so enumeration and snapshot
-	// loads never pay for an index the workload may not probe. That
-	// build checks the part of the assumption the index leans on: two
-	// members of one length with equal hashes leave hashErr, an
-	// ErrHashCollision, which IndexOf raises.
-	byHash   map[trace.Hash128]int32
+	// byHash indexes members by their 128-bit canonical hash and length.
+	// No string keys are retained: membership and class lookups
+	// discriminate on (hash, length), which separates distinct
+	// computations up to the ~2^-128 collision assumption (see
+	// trace.Hash128). New builds it eagerly (it doubles as the dedup
+	// pass); sorted universes build it lazily under hashOnce on first
+	// IndexOf, so enumeration and snapshot loads never pay for an index
+	// the workload may not probe. That build checks the part of the
+	// assumption the index leans on: two members of one length with
+	// equal hashes leave hashErr, an ErrHashCollision, which IndexOf
+	// raises.
+	byHash   map[memberKey]int32
 	hashOnce sync.Once
 	hashErr  error
 	all      trace.ProcSet
@@ -133,16 +134,17 @@ type Universe struct {
 // members' views: At returns them as given.
 func New(comps []*trace.Computation, all trace.ProcSet) *Universe {
 	u := &Universe{
-		byHash:    make(map[trace.Hash128]int32, len(comps)),
+		byHash:    make(map[memberKey]int32, len(comps)),
 		all:       all,
 		maxEvents: -1,
 	}
 	var kept []*trace.Computation
 	for _, c := range comps {
-		if _, dup := u.byHash[c.Hash()]; dup {
+		k := memberKey{c.Hash(), int32(c.Len())}
+		if _, dup := u.byHash[k]; dup {
 			continue
 		}
-		u.byHash[c.Hash()] = int32(len(kept))
+		u.byHash[k] = int32(len(kept))
 		kept = append(kept, c)
 		u.hash = append(u.hash, c.Hash())
 		u.length = append(u.length, int32(c.Len()))
@@ -170,17 +172,25 @@ func newSorted(hash []trace.Hash128, length []int32, x *prefixIndex, all trace.P
 	return u
 }
 
+// memberKey is a member's key in the hash index: computations of
+// different lengths are distinct whatever their hashes.
+type memberKey struct {
+	hash trace.Hash128
+	n    int32
+}
+
 func (u *Universe) buildHashIndex() {
 	if u.byHash != nil {
 		return
 	}
-	idx := make(map[trace.Hash128]int32, len(u.hash))
+	idx := make(map[memberKey]int32, len(u.hash))
 	for i, h := range u.hash {
-		if j, ok := idx[h]; ok && u.length[j] == u.length[i] {
+		k := memberKey{h, u.length[i]}
+		if j, ok := idx[k]; ok {
 			u.hashErr = fmt.Errorf("%w: %q vs %q", ErrHashCollision, u.At(int(j)).Key(), u.At(i).Key())
 			return
 		}
-		idx[h] = int32(i)
+		idx[k] = int32(i)
 	}
 	u.byHash = idx
 }
@@ -240,7 +250,7 @@ func (u *Universe) IndexOf(c *trace.Computation) int {
 	if u.hashErr != nil {
 		panic(u.hashErr)
 	}
-	if i, ok := u.byHash[c.Hash()]; ok && int(u.length[i]) == c.Len() {
+	if i, ok := u.byHash[memberKey{c.Hash(), int32(c.Len())}]; ok {
 		return int(i)
 	}
 	return -1
