@@ -175,3 +175,14 @@ func TestSimulateDeterministic(t *testing.T) {
 		t.Fatalf("same seed must reproduce the run")
 	}
 }
+
+// TestSimulateRejectsNonPositiveHops: a walk of no hops, or of a
+// negative number of them, is an error rather than a run.
+func TestSimulateRejectsNonPositiveHops(t *testing.T) {
+	b := MustNew("p", "q")
+	for _, hops := range []int{0, -1} {
+		if c, err := b.Simulate(1, hops); err == nil {
+			t.Fatalf("Simulate(1, %d) = %v, want an error", hops, c)
+		}
+	}
+}
