@@ -550,7 +550,7 @@ func Tracking() (Table, error) {
 	t := Table{
 		ID:     "EXP-A1",
 		Title:  "Tracking a remote local predicate (§5)",
-		Header: []string{"flips", "change points", "unsure violations", "owner-knows violations", "sim wrong-belief fraction", "max window"},
+		Header: []string{"flips", "change points", "unsure violations", "owner-knows violations", "walk flips", "walk wrong-belief fraction", "max window"},
 	}
 	for _, flips := range []int{1, 2, 3} {
 		repA, err := tracking.CheckUnsureDuringChange(flips)
@@ -570,7 +570,7 @@ func Tracking() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(flips), itoa(repA.ChangePoints), "0", "0",
-			ftoa(w.WrongFraction()), itoa(w.MaxWindow),
+			itoa(w.Flips), ftoa(w.WrongFraction()), itoa(w.MaxWindow),
 		})
 	}
 	return t, nil

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hpl/internal/knowledge"
 )
 
 func TestAllExperimentsPass(t *testing.T) {
@@ -85,6 +87,37 @@ func TestTerminationBoundShape(t *testing.T) {
 	for _, row := range tb.Rows {
 		if row[3] != "1.000" {
 			t.Errorf("DS ratio %q in row %v", row[3], row)
+		}
+	}
+}
+
+// TestCommonKnowledgeOneComponent checks Lemma 3's corollary with
+// EvalNaive's fixpoint, which shares nothing with the component labels
+// the Evaluator answers C from (so CheckCommonKnowledgeConstant holds
+// there by construction). It runs on EXP-CK's universe (free p,q, one
+// send each, five events) and on the same system with two sends each.
+// F = "some event happened" fails only at the null computation, and
+// C F fails at x exactly when x's component contains a member where F
+// fails; so C F false everywhere says every member shares the null
+// computation's component.
+func TestCommonKnowledgeOneComponent(t *testing.T) {
+	for _, bound := range [][2]int{{1, 5}, {2, 5}} {
+		u, err := freeUniverse(bound[0], bound[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		happened := knowledge.NewAtom(knowledge.EventCountAtLeast(u.All(), 1))
+		ck := knowledge.Common(happened)
+		for i := range u.Len() {
+			if knowledge.EvalNaive(u, happened, i) == (u.At(i).Len() == 0) {
+				t.Fatalf("%v member %d: F must fail exactly at the null computation", bound, i)
+			}
+			if knowledge.EvalNaive(u, ck, i) {
+				t.Fatalf("%v: member %d is not in the null computation's component", bound, i)
+			}
+		}
+		if _, n := u.Components(); n != 1 {
+			t.Fatalf("%v: the fixpoint finds one component, the labels %d", bound, n)
 		}
 	}
 }

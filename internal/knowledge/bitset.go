@@ -18,9 +18,6 @@ func (v bitset) get(i int) bool { return v[i>>6]&(1<<(uint(i)&63)) != 0 }
 // set turns bit i on.
 func (v bitset) set(i int) { v[i>>6] |= 1 << (uint(i) & 63) }
 
-// clear turns bit i off.
-func (v bitset) clear(i int) { v[i>>6] &^= 1 << (uint(i) & 63) }
-
 // fill turns the first n bits on and leaves the tail zero.
 func (v bitset) fill(n int) {
 	for w := range v {

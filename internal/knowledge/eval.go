@@ -17,12 +17,17 @@ import (
 // count (every stock predicate) is one fold down the universe's prefix
 // index, and an opaque one fans out over a worker pool. Boolean
 // connectives are word-parallel operations, (P knows F) is one
-// all-reduce per class of the [P]-partition table, and common
-// knowledge is a fixpoint iterated directly over the singleton
-// partitions. Temporal operators (EX/EF/AG/EU/… and their past duals)
-// are single sweeps over the universe's prefix-extension transition
-// graph in topological order — see package temporal — so epistemic and
-// temporal modalities nest freely at one pass per distinct subformula.
+// all-reduce per class of the [P]-partition table. Common knowledge
+// is evaluated by components (the paper's Lemma 3): C F holds at x
+// exactly when F holds throughout x's component in the union of the
+// singleton relations, so it is "every member" when F is valid, "none"
+// on a one-component universe otherwise, and one all-reduce per
+// component in general (universe.Components labels them once per
+// universe). Temporal operators (EX/EF/AG/EU/… and their past duals)
+// are single sweeps over the child ranges of the universe's
+// prefix-extension transition graph — see package temporal — so
+// epistemic and temporal modalities nest freely at one pass per
+// distinct subformula.
 // Vectors are memoized by hash-consed formula ID (see the
 // interner in formula.go), so nested knowledge costs each subformula
 // one pass over the universe no matter how many members are queried.
@@ -180,7 +185,7 @@ func (e *Evaluator) vectorOf(f Formula) bitset {
 
 // vector computes (or fetches) the truth vector of interned node id.
 // Children are fully evaluated before the parent's vector is stored, so
-// every result — including the common-knowledge fixpoint — lands
+// every result — common knowledge included — lands
 // through this one memo path; there is no partially-filled vector to
 // re-fetch after a nested evaluation, by construction.
 func (e *Evaluator) vector(id int32) bitset {
@@ -306,9 +311,9 @@ func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 	// Backstop for the non-error-returning query paths: when P splits a
 	// symmetry class, the [P]-classes of a quotient are not unions of
 	// orbits and the all-reduce below computes no meaningful modality.
-	// (The common-knowledge fixpoint is exempt: it iterates the twisted
-	// singleton partitions directly, which is sound — see
-	// universe.NewPartition.)
+	// (Common knowledge is exempt: its components are taken over the
+	// twisted singleton partitions, which is sound — see
+	// universe.NewPartition and universe.Components.)
 	if s := e.u.Symmetry(); s != nil && !s.Invariant(p) {
 		panic(&AsymmetryError{
 			Part:   fmt.Sprintf("knowledge operator %s knows …", p),
@@ -336,40 +341,36 @@ func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 	return out
 }
 
-// commonVector computes common knowledge as the greatest fixpoint of
-// S_{k+1} = {x ∈ S_k : F at x ∧ ∀p ∈ D: [p]-class of x ⊆ S_k},
-// iterating directly over the singleton partition tables: any class not
-// wholly inside S evicts all of its members at once.
+// commonVector computes common knowledge by components (Lemma 3): the
+// greatest fixpoint S = {x : F at x ∧ ∀p ∈ D: [p]-class of x ⊆ S} is
+// exactly the set of members whose component in the union of the
+// singleton relations lies inside F (universe.Components). A valid F
+// needs no labels; otherwise one component means C F holds nowhere,
+// and several take one all-reduce per component, as K does per class.
 func (e *Evaluator) commonVector(fv bitset) bitset {
-	in := fv.clone()
-	procs := e.u.All().IDs()
-	parts := make([]*universe.Partition, len(procs))
-	for i, p := range procs {
-		parts[i] = e.u.Partition(trace.Singleton(p))
+	n := e.u.Len()
+	out := newBitset(n)
+	if fv.allSet(n) {
+		out.fill(n)
+		return out
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, pt := range parts {
-			for c := int32(0); c < int32(pt.NumClasses()); c++ {
-				ms := pt.MembersOf(c)
-				all := true
-				for _, j := range ms {
-					if !in.get(j) {
-						all = false
-						break
-					}
-				}
-				if all {
-					continue
-				}
-				for _, j := range ms {
-					if in.get(j) {
-						in.clear(j)
-						changed = true
-					}
-				}
-			}
+	label, k := e.u.Components()
+	if k == 1 {
+		return out
+	}
+	inF := make([]bool, k)
+	for c := range inF {
+		inF[c] = true
+	}
+	for j, c := range label {
+		if !fv.get(j) {
+			inF[c] = false
 		}
 	}
-	return in
+	for j, c := range label {
+		if inF[c] {
+			out.set(j)
+		}
+	}
+	return out
 }

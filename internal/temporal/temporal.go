@@ -10,10 +10,18 @@
 // Truth vectors are []uint64 bitsets, one bit per member in member
 // order, exactly the representation the vectorized knowledge engine
 // uses, so the two compose with no conversion. Because every transition
-// appends one event, the graph is a forest ordered by event count; each
-// fixpoint therefore converges in a single sweep over a topological
-// order (descending for the future operators, ascending for the past
-// ones) instead of iterating to stabilization.
+// appends one event, the graph is a forest ordered by event count, and
+// each member's children sit in one contiguous range of that order
+// (universe.Transitions.ChildRanges). Each kernel therefore starts with
+// whole-word operations over the vector (EU and AU copy g, Once copies
+// f, EX and EY start all-false) and then visits only the positions
+// below the inner bound, the members that have children, once each:
+// descending for the future operators, which test a child range with a
+// masked word read, and ascending for the past ones, which OR a
+// parent's bit into its child range with a masked fill. The leaves
+// past the inner bound need no visit at all. On a universe whose member
+// order is not its level order (a hand-built one), the vectors are
+// permuted into order positions on the way in and back on the way out.
 //
 // Path semantics are finite: a path is a maximal chain of one-event
 // extensions inside the enumerated universe, so a member with no
@@ -25,6 +33,9 @@
 package temporal
 
 import (
+	"math/bits"
+	"slices"
+
 	"hpl/internal/universe"
 )
 
@@ -63,20 +74,86 @@ func trueVec(t *universe.Transitions) []uint64 {
 	return out
 }
 
+// toPositions returns v indexed by position in t.Order(): v itself when
+// member i sits at position i, else a permuted copy.
+func toPositions(t *universe.Transitions, v []uint64) []uint64 {
+	if !t.Permuted() {
+		return v
+	}
+	out := words(t)
+	for k, i := range t.Order() {
+		if get(v, i) {
+			set(out, int32(k))
+		}
+	}
+	return out
+}
+
+// toMembers is the inverse of toPositions.
+func toMembers(t *universe.Transitions, v []uint64) []uint64 {
+	if !t.Permuted() {
+		return v
+	}
+	out := words(t)
+	for k, i := range t.Order() {
+		if get(v, int32(k)) {
+			set(out, i)
+		}
+	}
+	return out
+}
+
+// window returns the word holding bit lo and the mask of the bits of
+// [lo,hi) in that word; hi > lo.
+func window(lo, hi int32) (int32, uint64) {
+	w := lo >> 6
+	m := ^uint64(0) << (uint32(lo) & 63)
+	if hi < (w+1)<<6 {
+		m &= ^uint64(0) >> (64 - uint32(hi)&63)
+	}
+	return w, m
+}
+
+// anyIn reports whether v has a bit set in [lo,hi).
+func anyIn(v []uint64, lo, hi int32) bool {
+	for ; lo < hi; lo = (lo | 63) + 1 {
+		if w, m := window(lo, hi); v[w]&m != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// allIn reports whether v has every bit of [lo,hi) set.
+func allIn(v []uint64, lo, hi int32) bool {
+	for ; lo < hi; lo = (lo | 63) + 1 {
+		if w, m := window(lo, hi); v[w]&m != m {
+			return false
+		}
+	}
+	return true
+}
+
+// fill sets the bits [lo,hi) of v.
+func fill(v []uint64, lo, hi int32) {
+	for ; lo < hi; lo = (lo | 63) + 1 {
+		w, m := window(lo, hi)
+		v[w] |= m
+	}
+}
+
 // EX returns ∃◯f: some one-event extension satisfies f. False at
 // members with no extension.
 func EX(t *universe.Transitions, f []uint64) []uint64 {
 	kernEX.Inc()
+	f = toPositions(t, f)
 	out := words(t)
-	// Each member has at most one parent, so scattering child truth to
-	// parents visits every edge exactly once.
-	n := t.Len()
-	for j := 0; j < n; j++ {
-		if p := t.Parent(j); p >= 0 && get(f, int32(j)) {
-			set(out, int32(p))
+	for k, r := range t.ChildRanges() {
+		if anyIn(f, r[0], r[1]) {
+			set(out, int32(k))
 		}
 	}
-	return out
+	return toMembers(t, out)
 }
 
 // AX returns ∀◯f: every one-event extension satisfies f, vacuously true
@@ -90,14 +167,11 @@ func AX(t *universe.Transitions, f []uint64) []uint64 {
 // satisfies f. False at members without a predecessor (null).
 func EY(t *universe.Transitions, f []uint64) []uint64 {
 	kernEY.Inc()
+	f = toPositions(t, f)
 	out := words(t)
-	n := t.Len()
-	for j := 0; j < n; j++ {
-		if p := t.Parent(j); p >= 0 && get(f, int32(p)) {
-			set(out, int32(j))
-		}
-	}
-	return out
+	kids := t.ChildRanges()
+	forEachUp(f, int32(len(kids)), func(k int32) { fill(out, kids[k][0], kids[k][1]) })
+	return toMembers(t, out)
 }
 
 // AY returns ∀●f: vacuously true where there is no predecessor,
@@ -107,32 +181,55 @@ func AY(t *universe.Transitions, f []uint64) []uint64 {
 	return not(t, EY(t, not(t, f)))
 }
 
+// forEachUp calls visit at every position below inner whose bit is set
+// in v, in ascending order. It rereads v's word after each visit, so a
+// bit that visit sets above the current position is visited too.
+func forEachUp(v []uint64, inner int32, visit func(k int32)) {
+	for k := int32(0); k < inner; k++ {
+		w := k >> 6
+		rest := v[w] >> (uint32(k) & 63)
+		if rest == 0 {
+			k = (w+1)<<6 - 1
+			continue
+		}
+		if k += int32(bits.TrailingZeros64(rest)); k < inner {
+			visit(k)
+		}
+	}
+}
+
+// forEachDown calls visit at every position below inner where f is
+// set and out is not, in descending order; visit may set out's bit at
+// the position it is given.
+func forEachDown(f, out []uint64, inner int32, visit func(k int32)) {
+	for k := inner - 1; k >= 0; k-- {
+		w := k >> 6
+		c := (f[w] &^ out[w]) << (63 - uint32(k)&63)
+		if c == 0 {
+			k = w << 6
+			continue
+		}
+		k -= int32(bits.LeadingZeros64(c))
+		visit(k)
+	}
+}
+
 // EU returns E[f U g]: some extension path reaches g with f holding at
 // every member strictly before it — the least fixpoint of
 // Z = g ∨ (f ∧ EX Z), computed in one sweep from the longest members
 // down (every edge lengthens the computation, so successors are always
-// visited first).
+// visited first). A leaf's value is g's.
 func EU(t *universe.Transitions, f, g []uint64) []uint64 {
 	kernEU.Inc()
-	out := words(t)
-	order := t.Order()
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		if get(g, i) {
-			set(out, i)
-			continue
+	f = toPositions(t, f)
+	out := slices.Clone(toPositions(t, g))
+	kids := t.ChildRanges()
+	forEachDown(f, out, int32(len(kids)), func(k int32) {
+		if anyIn(out, kids[k][0], kids[k][1]) {
+			set(out, k)
 		}
-		if !get(f, i) {
-			continue
-		}
-		for _, j := range t.Succ(int(i)) {
-			if get(out, j) {
-				set(out, i)
-				break
-			}
-		}
-	}
-	return out
+	})
+	return toMembers(t, out)
 }
 
 // AU returns A[f U g]: every maximal extension path reaches g, with f
@@ -140,29 +237,15 @@ func EU(t *universe.Transitions, f, g []uint64) []uint64 {
 // Z = g ∨ (f ∧ EX true ∧ AX Z). At a leaf A[f U g] reduces to g.
 func AU(t *universe.Transitions, f, g []uint64) []uint64 {
 	kernAU.Inc()
-	out := words(t)
-	order := t.Order()
-	for k := len(order) - 1; k >= 0; k-- {
-		i := order[k]
-		if get(g, i) {
-			set(out, i)
-			continue
+	f = toPositions(t, f)
+	out := slices.Clone(toPositions(t, g))
+	kids := t.ChildRanges()
+	forEachDown(f, out, int32(len(kids)), func(k int32) {
+		if r := kids[k]; r[0] < r[1] && allIn(out, r[0], r[1]) {
+			set(out, k)
 		}
-		if !get(f, i) || !t.HasSucc(int(i)) {
-			continue
-		}
-		all := true
-		for _, j := range t.Succ(int(i)) {
-			if !get(out, j) {
-				all = false
-				break
-			}
-		}
-		if all {
-			set(out, i)
-		}
-	}
-	return out
+	})
+	return toMembers(t, out)
 }
 
 // EF returns ∃◇f: some extension (including the member itself)
@@ -183,20 +266,13 @@ func EG(t *universe.Transitions, f []uint64) []uint64 { return not(t, AF(t, not(
 
 // Once returns ◆f (past-eventually): f holds at the member or at some
 // prefix of it — the least fixpoint of Z = f ∨ EY Z, one sweep from the
-// shortest members up.
+// shortest members up that fills each holding member's child range.
 func Once(t *universe.Transitions, f []uint64) []uint64 {
 	kernOnce.Inc()
-	out := words(t)
-	for _, i := range t.Order() {
-		if get(f, i) {
-			set(out, i)
-			continue
-		}
-		if p := t.Parent(int(i)); p >= 0 && get(out, int32(p)) {
-			set(out, i)
-		}
-	}
-	return out
+	out := slices.Clone(toPositions(t, f))
+	kids := t.ChildRanges()
+	forEachUp(out, int32(len(kids)), func(k int32) { fill(out, kids[k][0], kids[k][1]) })
+	return toMembers(t, out)
 }
 
 // Hist returns ■f (historically): f holds at the member and at every

@@ -1,7 +1,9 @@
 package temporal_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hpl/internal/protocols/ackchain"
@@ -27,7 +29,71 @@ func universes(t testing.TB) map[string]*universe.Universe {
 	}), 4)
 	add("tokenbus", tokenbus.MustNew("p", "q", "r"), 5)
 	add("ackchain", ackchain.MustNew("p", "q", 2), 4)
+	add("free3", universe.NewFree(universe.FreeConfig{
+		Procs:    []trace.ProcID{"p", "q", "r"},
+		MaxSends: 1,
+	}), 5)
+	out["handbuilt"] = handBuilt(t)
 	return out
+}
+
+// handBuilt returns a New universe with what enumeration never
+// produces: members in shuffled order, so Order is not the identity;
+// no null computation and several roots (members whose prefix is not a
+// member), some of them chains of more than one event; a member with
+// more than 64 children, so a child range spans several words; and
+// leaves that sit below the inner bound among members with children.
+func handBuilt(t testing.TB) *universe.Universe {
+	t.Helper()
+	build := func(steps ...string) *trace.Computation {
+		b := trace.NewBuilder()
+		for _, s := range steps {
+			b.Internal(trace.ProcID(s[:1]), s[2:])
+		}
+		return b.MustBuild()
+	}
+	ext := func(base []string, more ...string) []string { return append(slices.Clone(base), more...) }
+	root := []string{"p:a"}
+	cs := []*trace.Computation{build(root...)}
+	for k := range 70 {
+		kid := ext(root, fmt.Sprintf("q:c%d", k))
+		cs = append(cs, build(kid...))
+		if k%3 == 0 {
+			cs = append(cs, build(ext(kid, "r:d")...))
+		}
+		if k%6 == 0 {
+			cs = append(cs, build(ext(kid, "r:d", "p:e")...), build(ext(kid, "r:d", "q:f")...))
+		}
+	}
+	cs = append(cs,
+		build("q:x", "q:y"), build("q:x", "q:y", "p:z"), build("q:x", "q:y", "p:z", "r:w"),
+		build("r:v"),
+		build("p:a", "q:c1", "r:d", "p:e", "q:g"), // its prefix is not a member
+	)
+	rand.New(rand.NewSource(3)).Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	u := universe.New(cs, trace.NewProcSet("p", "q", "r"))
+
+	tr := u.Transitions()
+	if !tr.Permuted() {
+		t.Fatal("hand-built universe: member order is the level order")
+	}
+	roots, wide := 0, false
+	for i := range u.Len() {
+		if tr.Parent(i) < 0 {
+			roots++
+		}
+		wide = wide || len(tr.Succ(i)) > 64
+	}
+	quiescent := 0
+	for _, r := range tr.ChildRanges() {
+		if r[0] == r[1] {
+			quiescent++
+		}
+	}
+	if roots < 4 || !wide || quiescent == 0 {
+		t.Fatalf("hand-built universe: %d roots, wide range %v, %d leaves below the inner bound", roots, wide, quiescent)
+	}
+	return u
 }
 
 func randVec(r *rand.Rand, n int) []uint64 {
@@ -47,7 +113,11 @@ func pred(v []uint64) func(int) bool { return func(i int) bool { return getBit(v
 
 // TestKernelsMatchNaive pins every vectorized kernel to the per-member
 // graph walker on randomized truth vectors over several protocol
-// universes.
+// universes and the hand-built one, whose member order is not the
+// level order and whose child ranges include one wider than a word.
+// On the small universes it also tries every one-bit vector and every
+// all-but-one vector, so each bit of each child range, the wide one
+// included, is once the only true and once the only false member.
 func TestKernelsMatchNaive(t *testing.T) {
 	for name, u := range universes(t) {
 		t.Run(name, func(t *testing.T) {
@@ -70,26 +140,62 @@ func TestKernelsMatchNaive(t *testing.T) {
 				{"Once", temporal.Once, temporal.NaiveOnce},
 				{"Hist", temporal.Hist, temporal.NaiveHist},
 			}
-			for rep := 0; rep < 10; rep++ {
-				f := randVec(r, n)
+			check := func(f, g []uint64, what string) {
 				for _, op := range unary {
 					got := op.vec(tr, f)
 					for i := 0; i < n; i++ {
 						if getBit(got, i) != op.naive(tr, pred(f), i) {
-							t.Fatalf("%s disagrees with naive at member %d (rep %d)", op.name, i, rep)
+							t.Fatalf("%s disagrees with naive at member %d (%s)", op.name, i, what)
 						}
 					}
 				}
-				g := randVec(r, n)
 				eu, au := temporal.EU(tr, f, g), temporal.AU(tr, f, g)
 				for i := 0; i < n; i++ {
 					if getBit(eu, i) != temporal.NaiveEU(tr, pred(f), pred(g), i) {
-						t.Fatalf("EU disagrees with naive at member %d", i)
+						t.Fatalf("EU disagrees with naive at member %d (%s)", i, what)
 					}
 					if getBit(au, i) != temporal.NaiveAU(tr, pred(f), pred(g), i) {
-						t.Fatalf("AU disagrees with naive at member %d", i)
+						t.Fatalf("AU disagrees with naive at member %d (%s)", i, what)
 					}
 				}
+			}
+			// Uniform, dense and sparse vectors in turn.
+			draw := func(rep int) []uint64 {
+				v := randVec(r, n)
+				for range 2 {
+					w := randVec(r, n)
+					for i := range v {
+						switch rep % 3 {
+						case 1:
+							v[i] |= w[i]
+						case 2:
+							v[i] &= w[i]
+						}
+					}
+				}
+				return v
+			}
+			for rep := 0; rep < 12; rep++ {
+				check(draw(rep), draw(rep), fmt.Sprintf("rep %d", rep))
+			}
+			if n > 256 {
+				return
+			}
+			all := randVec(r, n)
+			for i := range all {
+				all[i] = ^uint64(0)
+			}
+			if rem := uint(n) & 63; rem != 0 {
+				all[len(all)-1] &= 1<<rem - 1
+			}
+			for j := range n {
+				one := make([]uint64, len(all))
+				one[j>>6] = 1 << (uint(j) & 63)
+				butOne := slices.Clone(all)
+				butOne[j>>6] &^= one[j>>6]
+				check(one, butOne, fmt.Sprintf("only %d true", j))
+				check(butOne, one, fmt.Sprintf("only %d false", j))
+				check(all, butOne, fmt.Sprintf("g false only at %d", j))
 			}
 		})
 	}

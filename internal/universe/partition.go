@@ -113,10 +113,10 @@ func (pt *Partition) buildKeys() {
 // sets — renaming permutes the full [P]-classes and preserves orbits —
 // which is what keeps the per-class all-reduce in the knowledge engine
 // sound without modification. For non-invariant P (the per-process
-// singletons the common-knowledge fixpoint iterates over) overlapping
-// classes encode exactly the relation-through-renaming the quotient
-// fixpoint needs: evicting a twisted class corresponds to evicting via
-// some renamed process's relation, all of which D contains.
+// singletons common knowledge is taken over; see Components)
+// overlapping classes encode exactly the relation-through-renaming the
+// quotient needs: a twisted class links its members through some
+// renamed process's relation, all of which D contains.
 func NewPartition(u *Universe, p trace.ProcSet) *Partition {
 	n := u.Len()
 	pt := &Partition{set: p, u: u}

@@ -16,9 +16,11 @@ import "hpl/internal/trace"
 // The graph is stored as columns over the prefix index: the parent
 // array is the reverse relation, and because the prefix tree's level
 // order keeps each member's children contiguous, the forward relation
-// is one child range per member. Each edge is labelled with the process
-// that performs the extending event, so per-process step relations
-// need no event inspection. Transitions are immutable once built and
+// is one range of order positions per position, kept only up to the
+// inner bound: past the last member with a child, every member is a
+// leaf. Each edge is labelled with the process that performs the
+// extending event, so per-process step relations need no event
+// inspection. Transitions are immutable once built and
 // safe for concurrent readers; build them through
 // Universe.Transitions, which constructs the graph once from the
 // universe's prefix index and shares it, alongside the Partition
@@ -36,7 +38,12 @@ type Transitions struct {
 	// run as single sweeps instead of iterating. It is the identity on
 	// level-ordered universes.
 	order []int32
-	// kids[i] is the range of order holding i's children.
+	// pos inverts order (pos[order[k]] == k); nil when order is the
+	// identity.
+	pos []int32
+	// kids[k] is the range of order positions holding the children of
+	// the member at order position k. It stops at the inner bound: one
+	// past the last position whose range is non-empty.
 	kids  [][2]int32
 	edges int
 	// procs indexes the edge labels.
@@ -63,20 +70,50 @@ func (t *Transitions) Label(i int) (trace.ProcID, bool) {
 	return t.procs[t.label[i]], true
 }
 
+// span returns the range of order positions holding i's children.
+func (t *Transitions) span(i int) [2]int32 {
+	if t.pos != nil {
+		i = int(t.pos[i])
+	}
+	if i >= len(t.kids) {
+		return [2]int32{}
+	}
+	return t.kids[i]
+}
+
 // Succ returns the member indexes reached from i by one extension
 // event, in the universe's sibling (hash) order — ascending, on
 // level-ordered universes. The slice aliases the graph and MUST be
 // treated as read-only.
-func (t *Transitions) Succ(i int) []int32 { return t.order[t.kids[i][0]:t.kids[i][1]] }
+func (t *Transitions) Succ(i int) []int32 {
+	r := t.span(i)
+	return t.order[r[0]:r[1]]
+}
 
 // HasSucc reports whether i has at least one extension in the universe
 // (false exactly at the maximal computations of the event bound).
-func (t *Transitions) HasSucc(i int) bool { return t.kids[i][0] < t.kids[i][1] }
+func (t *Transitions) HasSucc(i int) bool {
+	r := t.span(i)
+	return r[0] < r[1]
+}
 
 // Order returns the member indexes in ascending event count — a
 // topological order of the extension edges. The slice aliases the graph
 // and MUST be treated as read-only.
 func (t *Transitions) Order() []int32 { return t.order }
+
+// Permuted reports whether Order may differ from the member order: true
+// on New universes, false on enumerated and loaded ones, where member i
+// sits at position i.
+func (t *Transitions) Permuted() bool { return t.pos != nil }
+
+// ChildRanges returns, for each position k of Order below the inner
+// bound, the half-open range of positions holding the children of the
+// member at position k (empty for a leaf). The inner bound,
+// len(ChildRanges()), is one past the last position with a child, so
+// every position from it on is a leaf. The slice aliases the graph and
+// MUST be treated as read-only.
+func (t *Transitions) ChildRanges() [][2]int32 { return t.kids }
 
 // NewTransitions builds the prefix-extension graph of the universe
 // without consulting or populating the universe's cache. Prefer
@@ -113,9 +150,15 @@ func NewTransitions(u *Universe) *Transitions {
 		for i := range t.order {
 			t.order[i] = int32(i)
 		}
+	} else {
+		t.pos = make([]int32, n)
+		for k, j := range t.order {
+			t.pos[j] = int32(k)
+		}
 	}
 	// A child never sits at position 0, ahead of its parent, so an
 	// empty range marks a member whose children are still to come.
+	inner := int32(0)
 	for k, j := range t.order {
 		t.label[j] = -1
 		par := x.parent[j]
@@ -123,13 +166,18 @@ func NewTransitions(u *Universe) *Transitions {
 			continue
 		}
 		t.label[j] = evLabel[x.event[j]]
+		if t.pos != nil {
+			par = t.pos[par]
+		}
 		r := &t.kids[par]
 		if r[1] == 0 {
 			r[0] = int32(k)
 		}
 		r[1] = int32(k) + 1
+		inner = max(inner, par+1)
 		t.edges++
 	}
+	t.kids = t.kids[:inner]
 	return t
 }
 

@@ -94,6 +94,11 @@ type Universe struct {
 	// Transitions. Built on first use, shared by concurrent evaluators.
 	transOnce sync.Once
 	trans     *Transitions
+	// comp labels the components of the singleton relations' union and
+	// ncomp counts them; see Components. Built on first use.
+	compOnce sync.Once
+	comp     []int32
+	ncomp    int
 
 	// proto is the protocol the universe was enumerated from; nil for
 	// hand-built (New) universes and snapshot loads until BindProtocol.
