@@ -261,12 +261,12 @@ func BenchmarkColdUniverse(b *testing.B) {
 // quotient under the full interchange group, at the 16.9k (MaxEvents=5)
 // and 107k (MaxEvents=6) bounds. Each row reports both the member count
 // it materialized and the full-universe count it stands for
-// (full-members), so the recorded BENCH_8.json rows carry the reduction
-// ratio — 107,593 → 17,933 (6.00×) at MaxEvents=6 — next to the time
-// saved. The quotient arms pay per-child canonicalization against the
-// parent's stabilizer, so the speedup is below the member ratio; the
-// win compounds through every downstream pass (partitions, truth
-// vectors, temporal sweeps) that now touches one member per orbit.
+// (full-members), so each row carries the reduction ratio — 107,593 →
+// 17,933 (6.00×) at MaxEvents=6 — next to the time saved. The quotient
+// arms pay per-child canonicalization against the parent's stabilizer,
+// so the speedup is below the member ratio; the win compounds through
+// every downstream pass (partitions, truth vectors, temporal sweeps)
+// that now touches one member per orbit.
 func BenchmarkEnumerateSymmetry(b *testing.B) {
 	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
 	grp := universe.InferSymmetry(universe.NewFree(cfg))

@@ -46,7 +46,7 @@
 // re-enumeration (source "snapshot" in /v1/universe-stats).
 //
 // The companion client mode is `mck -server http://host:port '<formula>'`;
-// cmd/hplbench drives load against a running daemon.
+// the serve workloads of bench/ drive load against a running daemon.
 package main
 
 import (

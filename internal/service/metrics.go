@@ -38,8 +38,7 @@ func materializations(source, outcome string) *obs.Counter {
 }
 
 // materializeSeconds times successful materializations by source — the
-// server-side cold-start cost the BENCH_*_service records sample from
-// the client side.
+// server-side cold-start cost.
 func materializeSeconds(source string) *obs.Histogram {
 	return obs.Default.Histogram("hpld_registry_materialize_seconds",
 		"Time to make a universe resident, by source.",
@@ -55,8 +54,8 @@ func httpRequests(endpoint string, code int) *obs.Counter {
 }
 
 // httpLatency is the end-to-end request latency per endpoint, the
-// server-side truth behind the client-side percentiles in
-// BENCH_*_service.json (cmd/hplbench scrapes it).
+// server-side view of the latency bench/'s serve workloads measure from
+// the client.
 func httpLatency(endpoint string) *obs.Histogram {
 	return obs.Default.Histogram("hpld_http_request_seconds",
 		"End-to-end HTTP request latency, by endpoint.",

@@ -290,18 +290,28 @@ func TestSnapshotSeedsExtension(t *testing.T) {
 
 // TestServerReportsSource checks the wire surface: /v1/universe-stats
 // carries the entry's source, "build" on first contact and "snapshot"
-// after a server restart over the same directory.
+// after a server restart over the same directory. A symmetry quotient
+// makes the same round trip and must come back with its group, full
+// member count and largest orbit unchanged.
 func TestServerReportsSource(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{SnapshotDir: dir}
+	quotient := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 1, MaxEvents: 4, Symmetry: "full"}
 	ts1 := httptest.NewServer(NewServer(NewRegistry(cfg)))
 	cl1 := &Client{Base: ts1.URL, HTTPClient: ts1.Client()}
-	st, err := cl1.UniverseStats(context.Background(), testSpec)
-	if err != nil {
-		t.Fatal(err)
+	var first []StatsResponse
+	for _, spec := range []hpl.UniverseSpec{testSpec, quotient} {
+		st, err := cl1.UniverseStats(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Source != SourceBuild {
+			t.Errorf("first stats source = %q, want %q", st.Source, SourceBuild)
+		}
+		first = append(first, st)
 	}
-	if st.Source != SourceBuild {
-		t.Errorf("first stats source = %q, want %q", st.Source, SourceBuild)
+	if q := first[1]; q.Symmetry == "" || q.FullMembers <= int64(q.Members) || q.MaxOrbit < 2 {
+		t.Fatalf("quotient stats lack orbit accounting: %+v", q)
 	}
 	ts1.Close()
 
@@ -309,22 +319,28 @@ func TestServerReportsSource(t *testing.T) {
 	ts2 := httptest.NewServer(NewServer(NewRegistry(cfg)))
 	defer ts2.Close()
 	cl2 := &Client{Base: ts2.URL, HTTPClient: ts2.Client()}
-	st2, err := cl2.UniverseStats(context.Background(), testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Source != SourceSnapshot {
-		t.Errorf("post-restart stats source = %q, want %q", st2.Source, SourceSnapshot)
-	}
-	if st2.Members != st.Members {
-		t.Errorf("members changed across restart: %d vs %d", st2.Members, st.Members)
+	for i, spec := range []hpl.UniverseSpec{testSpec, quotient} {
+		st, err := cl2.UniverseStats(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Source != SourceSnapshot {
+			t.Errorf("post-restart stats source = %q, want %q", st.Source, SourceSnapshot)
+		}
+		was := first[i]
+		if st.Members != was.Members || st.Symmetry != was.Symmetry ||
+			st.FullMembers != was.FullMembers || st.MaxOrbit != was.MaxOrbit {
+			t.Errorf("stats changed across restart: members %d/%d, symmetry %q/%q, fullMembers %d/%d, maxOrbit %d/%d",
+				st.Members, was.Members, st.Symmetry, was.Symmetry,
+				st.FullMembers, was.FullMembers, st.MaxOrbit, was.MaxOrbit)
+		}
 	}
 	h, err := cl2.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.SnapshotHits != 1 {
-		t.Errorf("health does not report the snapshot hit: %+v", h)
+	if h.SnapshotHits != 2 {
+		t.Errorf("health does not report both snapshot hits: %+v", h)
 	}
 }
 
