@@ -1,6 +1,6 @@
-// Benchmarks: one per reproduced figure/table (see the experiment index
-// in DESIGN.md), plus ablation benches for the design choices called out
-// there. Run with:
+// Benchmarks: one per reproduced figure/table (see the experiment
+// registry in internal/experiments), plus ablation benches for the
+// engine's design choices. Run with:
 //
 //	go test -bench=. -benchmem
 package hpl_test
@@ -571,7 +571,7 @@ func BenchmarkQuietCounterexampleSearch(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md §5) ---
+// --- Ablations (each engine design choice against a simpler baseline) ---
 
 func ablationUniverse(b *testing.B) *universe.Universe {
 	b.Helper()
@@ -684,10 +684,10 @@ func ablationUniverseLarge(b *testing.B) *universe.Universe {
 }
 
 // BenchmarkAblationVectorizedEval compares the vectorized set-at-a-time
-// engine against the per-member memoized evaluator it replaced, on a
-// nested-knowledge formula over the whole ≥10k-member universe. The
-// per-member path pays Σ|class|² work inside each Knows; the vectorized
-// path pays one all-reduce per class, so expect well over 2×.
+// engine against the naive per-member reference (EvalNaive) on a
+// nested-knowledge formula over the ≥10k-member universe. The naive
+// path rescans every class inside each Knows at every member; the
+// vectorized path pays one all-reduce per class.
 func BenchmarkAblationVectorizedEval(b *testing.B) {
 	u := ablationUniverseLarge(b)
 	u.Partition(trace.Singleton("p")) // warm shared tables: measure evaluation, not indexing
@@ -704,12 +704,11 @@ func BenchmarkAblationVectorizedEval(b *testing.B) {
 			}
 		}
 	})
-	b.Run("member-memoized", func(b *testing.B) {
+	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := knowledge.NewMemberEvaluator(u)
 			for j := 0; j < u.Len(); j++ {
-				e.HoldsAt(f, j)
+				knowledge.EvalNaive(u, f, j)
 			}
 		}
 	})
@@ -787,21 +786,6 @@ func BenchmarkAblationTemporalEval(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := knowledge.NewEvaluator(u)
 			holding, _ := e.Summary(f)
-			if holding == 0 {
-				b.Fatal("gain formula cannot hold nowhere")
-			}
-		}
-	})
-	b.Run("member-memoized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := knowledge.NewMemberEvaluator(u)
-			holding := 0
-			for j := 0; j < u.Len(); j++ {
-				if e.HoldsAt(f, j) {
-					holding++
-				}
-			}
 			if holding == 0 {
 				b.Fatal("gain formula cannot hold nowhere")
 			}

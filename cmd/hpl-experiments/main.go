@@ -1,6 +1,7 @@
 // Command hpl-experiments regenerates every figure and experiment table
-// of the reproduction (FIG-3-1 … EXP-GEN; see DESIGN.md for the index)
-// and prints them to stdout. EXPERIMENTS.md records a run of this tool.
+// of the reproduction (FIG-3-1 … EXP-FLT, in the order of the registry
+// in internal/experiments) and prints them to stdout. testdata/all.golden
+// records a run with no flags.
 //
 // Usage:
 //

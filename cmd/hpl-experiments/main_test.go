@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,6 +54,12 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestAllExperiments compares a run with no flags byte for byte with
+// testdata/all.golden, so any changed table fails, not only a violated
+// claim. After an intended change, regenerate the golden from the
+// repository root with
+//
+//	go run ./cmd/hpl-experiments > cmd/hpl-experiments/testdata/all.golden
 func TestAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full run is slow in -short mode")
@@ -60,11 +68,20 @@ func TestAllExperiments(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, id := range []string{"FIG-3-1", "EXP-T1", "EXP-A3", "EXP-GEN"} {
-		if !strings.Contains(out, id) {
-			t.Errorf("output missing %s", id)
+	golden, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == string(golden) {
+		return
+	}
+	got, want := strings.Split(out, "\n"), strings.Split(string(golden), "\n")
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("output differs from testdata/all.golden at line %d:\n got: %s\nwant: %s", i+1, got[i], want[i])
 		}
 	}
+	t.Fatalf("output has %d lines, testdata/all.golden %d", len(got), len(want))
 }
 
 func TestParallelRunKeepsOrder(t *testing.T) {

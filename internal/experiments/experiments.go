@@ -5,8 +5,8 @@
 // example, and the three §5 applications (tracking, failure detection,
 // termination lower bound).
 //
-// Each experiment returns a Table whose rows are the measurements
-// recorded in EXPERIMENTS.md; cmd/hpl-experiments prints them, and
+// Each experiment returns a Table of measurements; cmd/hpl-experiments
+// prints them (its testdata/all.golden holds the expected output), and
 // bench_test.go at the repository root times them. Experiments are
 // deterministic: fixed seeds, exhaustive universes.
 package experiments
@@ -674,7 +674,8 @@ func TerminationBound() (Table, error) {
 	return t, nil
 }
 
-// registry lists every experiment in DESIGN.md order.
+// registry lists every experiment in the order the tool prints them:
+// figures, theorem suites, applications, extensions.
 func registry() []func() (Table, error) {
 	return []func() (Table, error){
 		Fig31, Fig32, Fig33,
@@ -687,13 +688,13 @@ func registry() []func() (Table, error) {
 	}
 }
 
-// All runs every experiment in DESIGN.md order.
+// All runs every experiment in registry order.
 func All() ([]Table, error) {
 	return AllWith(context.Background(), 1)
 }
 
 // AllWith runs every experiment on up to parallelism workers, still
-// returning tables in DESIGN.md order. The context cancels cleanly
+// returning tables in registry order. The context cancels cleanly
 // between experiments: cancellation returns ctx.Err() together with the
 // tables completed so far (in order, stopping at the first gap). An
 // experiment error likewise stops the run: no new experiments start

@@ -139,8 +139,8 @@ func Generalizations() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	be := knowledge.NewBelieverEvaluator(fu, knowledge.NoMessagesInFlight())
-	rep := knowledge.AnalyzeBelief(be, ps("q"), knowledge.NewAtom(knowledge.NoMessagesInFlight()))
+	quiescent := knowledge.NoMessagesInFlight()
+	rep := knowledge.AnalyzeBelief(knowledge.NewEvaluator(fu), quiescent, ps("q"), knowledge.NewAtom(quiescent))
 	if rep.VeridicalityHolds {
 		return Table{}, fmt.Errorf("experiments: belief stayed veridical")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hpl/internal/trace"
-	"hpl/internal/universe"
 )
 
 // This file implements the paper's §6 generalization 3: "we can define
@@ -12,7 +11,11 @@ import (
 // carry over. Belief quantifies over the *plausible* members of an
 // isomorphism class rather than all of them:
 //
-//	(P believes b) at x  ≡  ∀y: x [P] y ∧ plausible(y) : b at y.
+//	(P believes b) at x  ≡  ∀y: x [P] y ∧ plausible(y) : b at y,
+//
+// which is (P knows (plausible ⇒ b)). Belief is therefore a formula
+// rewrite evaluated by the ordinary Evaluator, not an interpreter of
+// its own.
 //
 // The failure mode is precise and machine-checked here: when the actual
 // computation is itself implausible, belief loses veridicality (the
@@ -20,90 +23,38 @@ import (
 // introspective facts survive because plausibility filters uniformly
 // within each class.
 
-// BelieverEvaluator evaluates belief formulas over a universe with a
-// plausibility predicate. Knowledge formulas evaluated through it treat
-// every KnowsF node as belief; atoms and connectives are unchanged.
-type BelieverEvaluator struct {
-	u         *universe.Universe
-	plausible Predicate
-	memo      map[string][]uint8
-}
-
-// NewBelieverEvaluator builds a belief evaluator; plausible carves the
-// worlds the agents take seriously.
-func NewBelieverEvaluator(u *universe.Universe, plausible Predicate) *BelieverEvaluator {
-	return &BelieverEvaluator{
-		u:         u,
-		plausible: plausible,
-		memo:      make(map[string][]uint8),
-	}
-}
-
-// Universe returns the underlying universe.
-func (e *BelieverEvaluator) Universe() *universe.Universe { return e.u }
-
-// HoldsAt evaluates f at member i, reading KnowsF as belief.
-func (e *BelieverEvaluator) HoldsAt(f Formula, i int) bool {
-	key := "B:" + f.Key()
-	vec, ok := e.memo[key]
-	if !ok {
-		vec = make([]uint8, e.u.Len())
-		e.memo[key] = vec
-	}
-	switch vec[i] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	v := e.eval(f, i)
-	if v {
-		vec[i] = 1
-	} else {
-		vec[i] = 2
-	}
-	return v
-}
-
-func (e *BelieverEvaluator) eval(f Formula, i int) bool {
-	switch f := f.(type) {
-	case ConstF:
-		return f.Value
-	case Atom:
-		return f.Pred.Holds(e.u.At(i))
-	case NotF:
-		return !e.HoldsAt(f.F, i)
-	case AndF:
-		return e.HoldsAt(f.L, i) && e.HoldsAt(f.R, i)
-	case OrF:
-		return e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case ImpliesF:
-		return !e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case KnowsF:
-		for _, j := range e.u.ClassRef(e.u.At(i), f.P) {
-			if !e.plausible.Holds(e.u.At(j)) {
-				continue
-			}
-			if !e.HoldsAt(f.F, j) {
-				return false
-			}
-		}
-		return true
-	case SureF:
-		return e.HoldsAt(Knows(f.P, f.F), i) || e.HoldsAt(Knows(f.P, Not(f.F)), i)
-	default:
-		panic(fmt.Sprintf("knowledge: belief evaluator does not support %T", f))
-	}
-}
-
-// Valid reports whether f holds at every member.
-func (e *BelieverEvaluator) Valid(f Formula) bool {
-	for i := 0; i < e.u.Len(); i++ {
-		if !e.HoldsAt(f, i) {
-			return false
+// Believes reads every knowledge operator in f as belief under the
+// plausibility predicate: each (P knows ψ) becomes
+// (P knows (plausible ⇒ ψ')) and each (P sure ψ) becomes
+// (P knows (plausible ⇒ ψ')) ∨ (P knows (plausible ⇒ ¬ψ')), where ψ' is
+// ψ rewritten the same way. Atoms and connectives are unchanged. It
+// panics on common knowledge and temporal operators, for which the
+// paper defines no belief reading.
+func Believes(plausible Predicate, f Formula) Formula {
+	pl := NewAtom(plausible)
+	var rw func(Formula) Formula
+	rw = func(f Formula) Formula {
+		switch f := f.(type) {
+		case ConstF, Atom:
+			return f
+		case NotF:
+			return Not(rw(f.F))
+		case AndF:
+			return And(rw(f.L), rw(f.R))
+		case OrF:
+			return Or(rw(f.L), rw(f.R))
+		case ImpliesF:
+			return Implies(rw(f.L), rw(f.R))
+		case KnowsF:
+			return Knows(f.P, Implies(pl, rw(f.F)))
+		case SureF:
+			g := rw(f.F)
+			return Or(Knows(f.P, Implies(pl, g)), Knows(f.P, Implies(pl, Not(g))))
+		default:
+			panic(fmt.Sprintf("knowledge: belief does not support %T", f))
 		}
 	}
-	return true
+	return rw(f)
 }
 
 // BeliefReport summarizes which knowledge facts survive the move to
@@ -121,32 +72,21 @@ type BeliefReport struct {
 	ConsistencyCounterIndex int
 }
 
-// AnalyzeBelief checks the S5 facts against belief for the process set P
-// and formula b.
-func AnalyzeBelief(e *BelieverEvaluator, p trace.ProcSet, b Formula) BeliefReport {
-	rep := BeliefReport{
-		VeridicalityHolds:        true,
-		IntrospectionHolds:       true,
-		ConsistencyHolds:         true,
-		VeridicalityCounterIndex: -1,
-		ConsistencyCounterIndex:  -1,
+// AnalyzeBelief checks the S5 facts against belief under the
+// plausibility predicate for the process set P and formula b, which is
+// itself read as belief (see Believes).
+func AnalyzeBelief(e *Evaluator, plausible Predicate, p trace.ProcSet, b Formula) BeliefReport {
+	bel := func(f Formula) Formula { return Believes(plausible, f) }
+	bb := bel(Knows(p, b))
+	iff := func(l, r Formula) Formula { return And(Implies(l, r), Implies(r, l)) }
+	_, veridical := e.Summary(Implies(bb, bel(b)))
+	_, consistent := e.Summary(Not(And(bb, bel(Knows(p, Not(b))))))
+	return BeliefReport{
+		VeridicalityHolds:        veridical < 0,
+		VeridicalityCounterIndex: veridical,
+		IntrospectionHolds: e.Valid(iff(bel(Knows(p, Knows(p, b))), bb)) &&
+			e.Valid(iff(bel(Knows(p, Not(Knows(p, b)))), Not(bb))),
+		ConsistencyHolds:        consistent < 0,
+		ConsistencyCounterIndex: consistent,
 	}
-	bb := Knows(p, b)
-	for i := 0; i < e.u.Len(); i++ {
-		if e.HoldsAt(bb, i) && !e.HoldsAt(b, i) && rep.VeridicalityHolds {
-			rep.VeridicalityHolds = false
-			rep.VeridicalityCounterIndex = i
-		}
-		if e.HoldsAt(Knows(p, bb), i) != e.HoldsAt(bb, i) {
-			rep.IntrospectionHolds = false
-		}
-		if e.HoldsAt(Knows(p, Not(bb)), i) != !e.HoldsAt(bb, i) {
-			rep.IntrospectionHolds = false
-		}
-		if e.HoldsAt(bb, i) && e.HoldsAt(Knows(p, Not(b)), i) && rep.ConsistencyHolds {
-			rep.ConsistencyHolds = false
-			rep.ConsistencyCounterIndex = i
-		}
-	}
-	return rep
 }

@@ -39,8 +39,8 @@ func componentsUniverse(t testing.TB) *universe.Universe {
 
 // TestCommonMatchesNaive is the common-knowledge differential: C F from
 // the Evaluator's component labels equals, at every member, the
-// greatest fixpoint that EvalNaive delegates to (MemberEvaluator, one
-// instance per universe so the fixpoint runs once per formula). F
+// greatest fixpoint of the naive reference (NaiveCommon, run once per
+// formula and read at every member, with F evaluated by EvalNaive). F
 // ranges over atoms, their negations, K of an atom, true, and dense
 // random truth vectors, on the bundled protocol universes, the S3
 // quotient of free p,q,r (whose singleton tables list members under
@@ -95,11 +95,11 @@ func TestCommonMatchesNaive(t *testing.T) {
 					func(x *trace.Computation) bool { return in[u.IndexOf(x)] }).Symmetric()))
 			}
 			vec := knowledge.NewEvaluator(u)
-			mem := knowledge.NewMemberEvaluator(u)
 			for _, f := range fs {
 				ck := knowledge.Common(f)
+				fixpoint := knowledge.NaiveCommon(u, func(j int) bool { return knowledge.EvalNaive(u, f, j) })
 				for i := range u.Len() {
-					if got, want := vec.HoldsAt(ck, i), mem.HoldsAt(ck, i); got != want {
+					if got, want := vec.HoldsAt(ck, i), fixpoint[i]; got != want {
 						t.Fatalf("%s at member %d: by components %v, fixpoint %v", ck, i, got, want)
 					}
 				}

@@ -160,9 +160,8 @@ func randFormula(r *rand.Rand, atoms []knowledge.Formula, procs []trace.ProcID, 
 
 // TestVectorizedMatchesNaive is the engine differential: on every
 // bundled protocol, for a batch of randomized formulas over all
-// connectives, the vectorized evaluator, the per-member memoized
-// evaluator, and the unmemoized naive recursion agree bit for bit at
-// every member of the universe.
+// connectives, the vectorized evaluator and the naive reference
+// (EvalNaive) agree bit for bit at every member of the universe.
 func TestVectorizedMatchesNaive(t *testing.T) {
 	for _, du := range diffUniverses(t) {
 		t.Run(du.name, func(t *testing.T) {
@@ -171,16 +170,12 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 			procs := u.All().IDs()
 			r := rand.New(rand.NewSource(20260729))
 			vec := knowledge.NewEvaluator(u)
-			mem := knowledge.NewMemberEvaluator(u)
 			for fi := 0; fi < 24; fi++ {
 				f := randFormula(r, atoms, procs, 3)
 				for i := 0; i < u.Len(); i++ {
 					got := vec.HoldsAt(f, i)
 					if want := knowledge.EvalNaive(u, f, i); got != want {
 						t.Fatalf("formula %s at member %d: vectorized %v, naive %v", f, i, got, want)
-					}
-					if mm := mem.HoldsAt(f, i); got != mm {
-						t.Fatalf("formula %s at member %d: vectorized %v, member-memoized %v", f, i, got, mm)
 					}
 				}
 			}
@@ -222,15 +217,11 @@ func TestTemporalVectorizedMatchesNaive(t *testing.T) {
 				knowledge.Once(knowledge.Common(knowledge.Or(b, knowledge.Not(b)))),
 			}
 			vec := knowledge.NewEvaluator(u)
-			mem := knowledge.NewMemberEvaluator(u)
 			for _, f := range cases {
 				for i := 0; i < u.Len(); i++ {
 					got := vec.HoldsAt(f, i)
 					if want := knowledge.EvalNaive(u, f, i); got != want {
 						t.Fatalf("formula %s at member %d: vectorized %v, naive %v", f, i, got, want)
-					}
-					if mm := mem.HoldsAt(f, i); got != mm {
-						t.Fatalf("formula %s at member %d: vectorized %v, member-memoized %v", f, i, got, mm)
 					}
 				}
 			}
@@ -268,10 +259,11 @@ func TestTruthVectorAgreesWithHoldsAt(t *testing.T) {
 }
 
 // TestNestedCommonUnderKnows is the regression test for the memo
-// write-back hazard: common-knowledge evaluation replaces or fills a
-// whole truth vector while an enclosing HoldsAt frame is suspended on
-// the same memo. Nesting Common under Knows (and under Not, and Common
-// under Common) exercises exactly that re-entrancy on both engines.
+// write-back hazard: common-knowledge evaluation produces a whole truth
+// vector while an enclosing evaluation of the same memo is suspended.
+// Nesting Common under Knows (and under Not, and Common under Common)
+// exercises exactly that re-entrancy in the Evaluator, checked against
+// EvalNaive.
 func TestNestedCommonUnderKnows(t *testing.T) {
 	for _, du := range diffUniverses(t) {
 		t.Run(du.name, func(t *testing.T) {
@@ -298,14 +290,10 @@ func TestNestedCommonUnderKnows(t *testing.T) {
 				// the first thing each memo sees (the hazard needs a
 				// cold memo to bite).
 				vec := knowledge.NewEvaluator(u)
-				mem := knowledge.NewMemberEvaluator(u)
 				for i := 0; i < u.Len(); i++ {
 					want := knowledge.EvalNaive(u, f, i)
 					if got := vec.HoldsAt(f, i); got != want {
 						t.Fatalf("formula %s at member %d: vectorized %v, naive %v", f, i, got, want)
-					}
-					if got := mem.HoldsAt(f, i); got != want {
-						t.Fatalf("formula %s at member %d: member-memoized %v, naive %v", f, i, got, want)
 					}
 				}
 			}

@@ -34,11 +34,12 @@ import (
 //
 // An Evaluator is safe for concurrent use: queries serialize on an
 // internal lock, and the partition tables they share are built
-// goroutine-safely by the universe. The per-member evaluation paths
-// are kept as ablation baselines — see MemberEvaluator and EvalNaive,
-// and the benchmarks BenchmarkAblationVectorizedEval,
-// BenchmarkAblationKnowledgeMemo and BenchmarkAblationAtomFold at the
-// repository root.
+// goroutine-safely by the universe. It serves every query; the one
+// per-member path left is EvalNaive, the paper's definitions evaluated
+// directly, which the differential tests use as the oracle and the
+// benchmarks BenchmarkAblationVectorizedEval and
+// BenchmarkAblationKnowledgeMemo at the repository root as the
+// baseline.
 type Evaluator struct {
 	u *universe.Universe
 

@@ -7,10 +7,10 @@ import (
 )
 
 // This file provides checkers for the paper's knowledge facts (§4.1,
-// K1–K12 in DESIGN.md) and local-predicate facts (§4.2, LP1–LP8
-// including Lemma 3 and the common-knowledge corollary). Each checker
-// quantifies over the evaluator's universe and returns the first
-// violation.
+// facts 1–12; see README's paper → model check map) and local-predicate
+// facts (§4.2, LP1–LP8 including Lemma 3 and the common-knowledge
+// corollary). Each checker quantifies over the evaluator's universe and
+// returns the first violation.
 
 // CheckKnowledgeFacts verifies facts 1–12 of §4.1 for the given process
 // sets and formulas. Fact 9 is checked in its sound reading (b ⇒ b'

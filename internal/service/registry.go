@@ -283,7 +283,6 @@ func (r *Registry) getOnce(ctx context.Context, spec hpl.UniverseSpec, digest st
 		buildCtx, cancel := context.WithCancel(context.Background())
 		c = &call{done: make(chan struct{}), cancel: cancel}
 		r.calls[digest] = c
-		r.builds++
 		go r.build(buildCtx, c, spec, digest)
 	} else {
 		regJoins.Inc()
@@ -377,6 +376,9 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 
 	r.mu.Lock()
 	delete(r.calls, digest)
+	if source == SourceBuild {
+		r.builds++
+	}
 	if e != nil {
 		r.insertLocked(e)
 		if source == SourceExtend {
@@ -607,8 +609,10 @@ type Stats struct {
 	Universes int   `json:"universes"`
 	Bytes     int64 `json:"bytes"`
 	MaxBytes  int64 `json:"maxBytes"`
-	// Builds counts singleflight builds started (not per-waiter), Hits
-	// and Misses cache lookups, Evictions LRU removals.
+	// Builds counts enumerations from scratch (SourceBuild
+	// materializations, failed ones included; not snapshot loads or
+	// extensions), Hits and Misses cache lookups, Evictions LRU
+	// removals.
 	Builds    int64 `json:"builds"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

@@ -89,6 +89,37 @@ func TestColdStartServedFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestBuildsCountOnlyEnumerations checks that Stats.Builds counts
+// enumerations from scratch only: an extension adds none, and a
+// restart that reads its universe from a snapshot reports no build.
+func TestBuildsCountOnlyEnumerations(t *testing.T) {
+	dir := t.TempDir()
+	small := smallSpec("p", "q")
+	big := small
+	big.MaxEvents = 4
+	warm := NewRegistry(Config{SnapshotDir: dir})
+	for _, spec := range []hpl.UniverseSpec{small, big} {
+		if _, _, err := warm.Get(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := warm.Stats(); st.Builds != 1 || st.Extends != 1 {
+		t.Errorf("after a build and an extension: builds %d extends %d, want 1 and 1", st.Builds, st.Extends)
+	}
+
+	cold := NewRegistry(Config{SnapshotDir: dir})
+	e, _, err := cold.Get(context.Background(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Source != SourceSnapshot {
+		t.Fatalf("source = %q, want %q", e.Source, SourceSnapshot)
+	}
+	if st := cold.Stats(); st.Builds != 0 || st.SnapshotHits != 1 {
+		t.Errorf("after a restart over snapshots: builds %d snapshotHits %d, want 0 and 1", st.Builds, st.SnapshotHits)
+	}
+}
+
 // TestQuotientSnapshotRestart is the restart contract for symmetry
 // quotients: a quotient universe persists under its own digest (the
 // version-2 snapshot with group and orbit sizes), a fresh registry
