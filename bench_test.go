@@ -651,10 +651,7 @@ func BenchmarkAblationKnowledgeMemo(b *testing.B) {
 			knowledge.NewAtom(knowledge.SentTag("p", "m"))))
 	b.Run("memoized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e := knowledge.NewEvaluator(u)
-			for j := 0; j < u.Len(); j++ {
-				e.HoldsAt(f, j)
-			}
+			knowledge.NewEvaluator(u).TruthVector(f)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -687,7 +684,8 @@ func ablationUniverseLarge(b *testing.B) *universe.Universe {
 // engine against the naive per-member reference (EvalNaive) on a
 // nested-knowledge formula over the ≥10k-member universe. The naive
 // path rescans every class inside each Knows at every member; the
-// vectorized path pays one all-reduce per class.
+// vectorized path takes the formula's truth vector once per op, paying
+// one all-reduce per class.
 func BenchmarkAblationVectorizedEval(b *testing.B) {
 	u := ablationUniverseLarge(b)
 	u.Partition(trace.Singleton("p")) // warm shared tables: measure evaluation, not indexing
@@ -698,10 +696,7 @@ func BenchmarkAblationVectorizedEval(b *testing.B) {
 	b.Run("vectorized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := knowledge.NewEvaluator(u)
-			for j := 0; j < u.Len(); j++ {
-				e.HoldsAt(f, j)
-			}
+			knowledge.NewEvaluator(u).TruthVector(f)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -92,7 +92,8 @@ func FullHistoryAbstraction() Abstraction { return stateiso.FullHistory() }
 // CountersAbstraction remembers only per-kind event counts.
 func CountersAbstraction() Abstraction { return stateiso.Counters() }
 
-// NewStateEvaluator builds a state-based knowledge evaluator.
+// NewStateEvaluator builds a state-based knowledge evaluator. It panics
+// on a symmetry quotient: abstract states do not follow renaming orbits.
 func NewStateEvaluator(u *Universe, abs Abstraction) *StateEvaluator {
 	return stateiso.NewEvaluator(u, abs)
 }

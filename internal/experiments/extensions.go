@@ -47,7 +47,7 @@ func StateAbstraction() (Table, error) {
 	} {
 		e := stateiso.NewEvaluator(u, abs)
 		s5 := "hold"
-		if err := stateiso.CheckEquivalenceFacts(e, ps("p"), ps("q"), b, b2); err != nil {
+		if err := knowledge.CheckKnowledgeFacts(e.Evaluator, ps("p"), ps("q"), b, b2); err != nil {
 			s5 = "VIOLATED"
 		}
 		sound := "holds"
@@ -120,7 +120,7 @@ func Generalizations() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	b := knowledge.NewAtom(stateiso.RoundDone(procs, 1))
+	b := stateiso.RoundDone(procs, 1)
 	async := stateiso.NewEvaluator(u, stateiso.FullHistory())
 	if got := stateiso.CommonKnowledgeGained(async, b); len(got) != 0 {
 		return Table{}, fmt.Errorf("experiments: async CK gained — corollary violated")

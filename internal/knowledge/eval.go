@@ -17,14 +17,14 @@ import (
 // count (every stock predicate) is one fold down the universe's prefix
 // index, and an opaque one fans out over a worker pool. Boolean
 // connectives are word-parallel operations, (P knows F) is one
-// all-reduce per class of the [P]-partition table. Common knowledge
-// is evaluated by components (the paper's Lemma 3): C F holds at x
-// exactly when F holds throughout x's component in the union of the
-// singleton relations, so it is "every member" when F is valid, "none"
-// on a one-component universe otherwise, and one all-reduce per
-// component in general (universe.Components labels them once per
-// universe). Temporal operators (EX/EF/AG/EU/… and their past duals)
-// are single sweeps over the child ranges of the universe's
+// all-reduce per class of the relation's partition for P. Common
+// knowledge is evaluated by components (the paper's Lemma 3): C F
+// holds at x exactly when F holds throughout x's component in the
+// union of the singleton relations, so it is "every member" when F is
+// valid, "none" on a one-component universe otherwise, and one
+// all-reduce per component in general (the relation labels them
+// once). Temporal operators (EX/EF/AG/EU/… and their past duals) are
+// single sweeps over the child ranges of the universe's
 // prefix-extension transition graph — see package temporal — so
 // epistemic and temporal modalities nest freely at one pass per
 // distinct subformula.
@@ -32,16 +32,23 @@ import (
 // interner in formula.go), so nested knowledge costs each subformula
 // one pass over the universe no matter how many members are queried.
 //
+// K and C read their classes and components from the evaluator's
+// Relation. NewEvaluator takes the universe's own: [P]-isomorphism, the
+// paper's relation. NewRelationEvaluator takes another, such as the
+// state-based isomorphism of §6 (package stateiso); every other
+// operator is the same under either.
+//
 // An Evaluator is safe for concurrent use: queries serialize on an
 // internal lock, and the partition tables they share are built
-// goroutine-safely by the universe. It serves every query; the one
+// goroutine-safely by the relation. It serves every query; the one
 // per-member path left is EvalNaive, the paper's definitions evaluated
 // directly, which the differential tests use as the oracle and the
 // benchmarks BenchmarkAblationVectorizedEval and
 // BenchmarkAblationKnowledgeMemo at the repository root as the
 // baseline.
 type Evaluator struct {
-	u *universe.Universe
+	u   *universe.Universe
+	rel Relation
 
 	mu sync.Mutex
 	in *interner
@@ -50,9 +57,28 @@ type Evaluator struct {
 	vecs []bitset
 }
 
-// NewEvaluator builds an evaluator over the universe.
+// Relation is the indistinguishability relation K and C quantify
+// over: an equivalence on the universe's members per process set.
+// *universe.Universe is one, [P]-isomorphism.
+type Relation interface {
+	// Partition returns the classes of the relation for P. A larger
+	// process set must relate no more members (fact 3 of §4.1).
+	Partition(p trace.ProcSet) *universe.Partition
+	// Components labels the members by the components of the union of
+	// the singleton relations, as universe.Components does.
+	Components() (label []int32, n int)
+}
+
+// NewEvaluator builds an evaluator over the universe, under the
+// paper's [P]-isomorphism.
 func NewEvaluator(u *universe.Universe) *Evaluator {
-	return &Evaluator{u: u, in: newInterner()}
+	return NewRelationEvaluator(u, u)
+}
+
+// NewRelationEvaluator builds an evaluator over the universe whose
+// knowledge operators quantify over rel instead.
+func NewRelationEvaluator(u *universe.Universe, rel Relation) *Evaluator {
+	return &Evaluator{u: u, rel: rel, in: newInterner()}
 }
 
 // Universe returns the evaluator's universe.
@@ -305,9 +331,9 @@ func (e *Evaluator) atomVector(p Predicate) bitset {
 }
 
 // knowsVector computes (P knows F) from F's vector: one all-reduce per
-// class of the [P]-partition — a class's members either all know F or
-// none do, so the work is linear in the universe rather than quadratic
-// in class sizes as in the per-member paths.
+// class of the relation's partition for P — a class's members either
+// all know F or none do, so the work is linear in the universe rather
+// than quadratic in class sizes as in the per-member paths.
 func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 	// Backstop for the non-error-returning query paths: when P splits a
 	// symmetry class, the [P]-classes of a quotient are not unions of
@@ -322,7 +348,7 @@ func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 			Reason: "the process set splits a symmetry class; use a union of whole classes or evaluate on the full universe",
 		})
 	}
-	pt := e.u.Partition(p)
+	pt := e.rel.Partition(p)
 	out := newBitset(e.u.Len())
 	for c := int32(0); c < int32(pt.NumClasses()); c++ {
 		ms := pt.MembersOf(c)
@@ -345,7 +371,7 @@ func (e *Evaluator) knowsVector(p trace.ProcSet, fv bitset) bitset {
 // commonVector computes common knowledge by components (Lemma 3): the
 // greatest fixpoint S = {x : F at x ∧ ∀p ∈ D: [p]-class of x ⊆ S} is
 // exactly the set of members whose component in the union of the
-// singleton relations lies inside F (universe.Components). A valid F
+// singleton relations lies inside F (Relation.Components). A valid F
 // needs no labels; otherwise one component means C F holds nowhere,
 // and several take one all-reduce per component, as K does per class.
 func (e *Evaluator) commonVector(fv bitset) bitset {
@@ -355,7 +381,7 @@ func (e *Evaluator) commonVector(fv bitset) bitset {
 		out.fill(n)
 		return out
 	}
-	label, k := e.u.Components()
+	label, k := e.rel.Components()
 	if k == 1 {
 		return out
 	}

@@ -15,76 +15,79 @@ import (
 // CheckKnowledgeFacts verifies facts 1–12 of §4.1 for the given process
 // sets and formulas. Fact 9 is checked in its sound reading (b ⇒ b'
 // valid over the universe); fact 12 in the reading "P is sure of any
-// constant".
+// constant". Every fact holds for any equivalence relation, so the
+// check applies under the evaluator's relation, whichever it is.
 func CheckKnowledgeFacts(e *Evaluator, p, q trace.ProcSet, b, b2 Formula) error {
-	u := e.u
 	kb := Knows(p, b)
-	for i := 0; i < u.Len(); i++ {
-		x := u.At(i)
+	holds := e.vectorOf
+	vkb, vb, vkb2 := holds(kb), holds(b), holds(Knows(p, b2))
+	vkpq, vnkb := holds(Knows(p.Union(q), b)), holds(Not(kb))
+	vkand, vkor := holds(Knows(p, And(b, b2))), holds(Knows(p, Or(b, b2)))
+	vknb, vkkb, vknkb := holds(Knows(p, Not(b))), holds(Knows(p, kb)), holds(Knows(p, Not(kb)))
+	vsure := holds(And(Sure(p, True), Sure(p, False)))
+	pt := e.rel.Partition(p)
+	for i := 0; i < e.u.Len(); i++ {
+		class := pt.MembersOf(pt.ClassOf(i))
+		k := vkb.get(i)
 
 		// Fact 1: P knows b at x ≡ ∀y: x[P]y: P knows b at y.
 		all := true
-		for _, j := range u.ClassRef(x, p) {
-			if !e.HoldsAt(kb, j) {
-				all = false
-				break
-			}
+		for _, j := range class {
+			all = all && vkb.get(j)
 		}
-		if e.HoldsAt(kb, i) != all {
+		if k != all {
 			return fmt.Errorf("knowledge: fact 1 fails at member %d", i)
 		}
 
 		// Fact 2: x[P]y ⇒ (P knows b at x ≡ P knows b at y).
-		for _, j := range u.ClassRef(x, p) {
-			if e.HoldsAt(kb, i) != e.HoldsAt(kb, j) {
+		for _, j := range class {
+			if k != vkb.get(j) {
 				return fmt.Errorf("knowledge: fact 2 fails between members %d and %d", i, j)
 			}
 		}
 
 		// Fact 3: (P knows b) ⇒ (P∪Q knows b).
-		if e.HoldsAt(kb, i) && !e.HoldsAt(Knows(p.Union(q), b), i) {
+		if k && !vkpq.get(i) {
 			return fmt.Errorf("knowledge: fact 3 fails at member %d", i)
 		}
 
 		// Fact 4: (P knows b) ⇒ b.
-		if e.HoldsAt(kb, i) && !e.HoldsAt(b, i) {
+		if k && !vb.get(i) {
 			return fmt.Errorf("knowledge: fact 4 fails at member %d", i)
 		}
 
 		// Fact 5: (P knows b) ∨ ¬(P knows b) — totality.
-		if e.HoldsAt(kb, i) == e.HoldsAt(Not(kb), i) {
+		if k == vnkb.get(i) {
 			return fmt.Errorf("knowledge: fact 5 fails at member %d", i)
 		}
 
 		// Fact 6: (P knows b) ∧ (P knows b') ≡ P knows (b ∧ b').
-		lhs := e.HoldsAt(kb, i) && e.HoldsAt(Knows(p, b2), i)
-		rhs := e.HoldsAt(Knows(p, And(b, b2)), i)
-		if lhs != rhs {
+		if (k && vkb2.get(i)) != vkand.get(i) {
 			return fmt.Errorf("knowledge: fact 6 fails at member %d", i)
 		}
 
 		// Fact 7: (P knows b) ∨ (P knows b') ⇒ P knows (b ∨ b').
-		if (e.HoldsAt(kb, i) || e.HoldsAt(Knows(p, b2), i)) && !e.HoldsAt(Knows(p, Or(b, b2)), i) {
+		if (k || vkb2.get(i)) && !vkor.get(i) {
 			return fmt.Errorf("knowledge: fact 7 fails at member %d", i)
 		}
 
 		// Fact 8: (P knows ¬b) ⇒ ¬(P knows b).
-		if e.HoldsAt(Knows(p, Not(b)), i) && e.HoldsAt(kb, i) {
+		if vknb.get(i) && k {
 			return fmt.Errorf("knowledge: fact 8 fails at member %d", i)
 		}
 
 		// Fact 10: P knows P knows b ≡ P knows b.
-		if e.HoldsAt(Knows(p, kb), i) != e.HoldsAt(kb, i) {
+		if vkkb.get(i) != k {
 			return fmt.Errorf("knowledge: fact 10 fails at member %d", i)
 		}
 
 		// Fact 11 (Lemma 2): P knows ¬P knows b ≡ ¬P knows b.
-		if e.HoldsAt(Knows(p, Not(kb)), i) != !e.HoldsAt(kb, i) {
+		if vknkb.get(i) != !k {
 			return fmt.Errorf("knowledge: fact 11 fails at member %d", i)
 		}
 
 		// Fact 12: P sure c for constants c.
-		if !e.HoldsAt(Sure(p, True), i) || !e.HoldsAt(Sure(p, False), i) {
+		if !vsure.get(i) {
 			return fmt.Errorf("knowledge: fact 12 fails at member %d", i)
 		}
 	}
@@ -100,24 +103,25 @@ func CheckKnowledgeFacts(e *Evaluator, p, q trace.ProcSet, b, b2 Formula) error 
 // sets P, Q. Facts conditional on "b is local to P" are checked only
 // when the evaluator establishes locality.
 func CheckLocalFacts(e *Evaluator, p, q trace.ProcSet, b Formula) error {
-	u := e.u
 	localP := e.LocalTo(b, p)
 
 	if localP {
-		for i := 0; i < u.Len(); i++ {
-			x := u.At(i)
+		vb, vkb := e.vectorOf(b), e.vectorOf(Knows(p, b))
+		vkqb, vkqkb := e.vectorOf(Knows(q, b)), e.vectorOf(Knows(q, Knows(p, b)))
+		pt := e.rel.Partition(p)
+		for i := 0; i < e.u.Len(); i++ {
 			// LP1: x[P]y ⇒ (b at x ≡ b at y).
-			for _, j := range u.ClassRef(x, p) {
-				if e.HoldsAt(b, i) != e.HoldsAt(b, j) {
+			for _, j := range pt.MembersOf(pt.ClassOf(i)) {
+				if vb.get(i) != vb.get(j) {
 					return fmt.Errorf("knowledge: LP1 fails between members %d and %d", i, j)
 				}
 			}
 			// LP2: b ≡ P knows b.
-			if e.HoldsAt(b, i) != e.HoldsAt(Knows(p, b), i) {
+			if vb.get(i) != vkb.get(i) {
 				return fmt.Errorf("knowledge: LP2 fails at member %d", i)
 			}
 			// LP4: Q knows b ≡ Q knows P knows b.
-			if e.HoldsAt(Knows(q, b), i) != e.HoldsAt(Knows(q, Knows(p, b)), i) {
+			if vkqb.get(i) != vkqkb.get(i) {
 				return fmt.Errorf("knowledge: LP4 fails at member %d", i)
 			}
 		}

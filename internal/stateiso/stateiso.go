@@ -10,10 +10,15 @@
 // isomorphism; coarser abstractions (event counters, last event) forget
 // history.
 //
-// What survives abstraction, as machine-checked by this package:
+// The package only builds that relation. Evaluator is
+// knowledge.Evaluator over it: each (member, process) abstract state is
+// interned to a label once, and the partitions K reduces over and the
+// components C reduces over are built from the labels. What survives
+// abstraction, as machine-checked over the relation:
 //
-//   - the S5-style knowledge facts (K2–K11) hold for EVERY abstraction,
-//     because they only need [P] to be an equivalence relation;
+//   - the knowledge facts of §4.1 (knowledge.CheckKnowledgeFacts) hold
+//     for EVERY abstraction, because they only need the relation to be
+//     an equivalence;
 //   - abstract knowledge implies computation knowledge (coarser classes
 //     are supersets), so abstraction is sound for positive knowledge;
 //   - Theorem 3 / Lemma 4 (receive cannot lose knowledge) can FAIL under
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hpl/internal/knowledge"
 	"hpl/internal/trace"
@@ -97,230 +103,150 @@ func LastEvent() Abstraction {
 	})
 }
 
-// Evaluator evaluates knowledge formulas under state-based isomorphism
-// over a universe. It mirrors knowledge.Evaluator with the abstract
-// relation substituted for projection equality.
+// Evaluator evaluates formulas under state-based isomorphism over a
+// universe. It is knowledge.Evaluator with the abstract relation in
+// place of [P]-isomorphism: K and C quantify over the classes and
+// components of equal abstract states, and every other operator is
+// evaluated as the embedded evaluator evaluates it.
 type Evaluator struct {
-	u   *universe.Universe
+	*knowledge.Evaluator
 	abs Abstraction
-	// stateKeys[i][p] is the abstract state of process p at member i.
-	stateKeys []map[trace.ProcID]string
-	// classes[P.Key()][combined-state-key] lists member indexes.
-	classes map[string]map[string][]int
-	memo    map[string][]uint8
+	rel *relation
 }
 
-// NewEvaluator builds a state-based evaluator.
+// NewEvaluator builds a state-based evaluator. It panics on a symmetry
+// quotient: abstract states are taken member by member, so they cannot
+// be read through the orbits a quotient member stands for; evaluate on
+// the full universe instead.
 func NewEvaluator(u *universe.Universe, abs Abstraction) *Evaluator {
-	e := &Evaluator{
-		u:         u,
-		abs:       abs,
-		stateKeys: make([]map[trace.ProcID]string, u.Len()),
-		classes:   make(map[string]map[string][]int),
-		memo:      make(map[string][]uint8),
-	}
-	procs := u.All().IDs()
-	for i := 0; i < u.Len(); i++ {
-		c := u.At(i)
-		m := make(map[trace.ProcID]string, len(procs))
-		for _, p := range procs {
-			m[p] = abs.StateOf(p, c.Projection(trace.Singleton(p)))
-		}
-		e.stateKeys[i] = m
-	}
-	return e
+	return newEvaluator(u, abs, false)
 }
 
-// Universe returns the underlying universe.
-func (e *Evaluator) Universe() *universe.Universe { return e.u }
+func newEvaluator(u *universe.Universe, abs Abstraction, timed bool) *Evaluator {
+	if u.IsQuotient() {
+		panic(fmt.Sprintf("stateiso: abstraction %s over a symmetry quotient: abstract states do not follow renaming orbits; evaluate on the full universe", abs.Name()))
+	}
+	rel := newRelation(u, abs, timed)
+	return &Evaluator{Evaluator: knowledge.NewRelationEvaluator(u, rel), abs: abs, rel: rel}
+}
 
 // Abstraction returns the evaluator's abstraction.
 func (e *Evaluator) Abstraction() Abstraction { return e.abs }
 
-// stateKeyOf returns the combined state key of member i for process set P.
-func (e *Evaluator) stateKeyOf(i int, p trace.ProcSet) string {
-	var b strings.Builder
-	for _, id := range p.IDs() {
-		b.WriteString(string(id))
-		b.WriteByte('=')
-		b.WriteString(e.stateKeys[i][id])
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 // Class returns the members state-isomorphic to member i with respect to
-// P: every process in P is in the same abstract state.
+// P: every process in P is in the same abstract state. The slice aliases
+// the relation's partition table and MUST be treated as read-only.
 func (e *Evaluator) Class(i int, p trace.ProcSet) []int {
-	key := p.Key()
-	idx, ok := e.classes[key]
-	if !ok {
-		idx = make(map[string][]int)
-		for j := 0; j < e.u.Len(); j++ {
-			sk := e.stateKeyOf(j, p)
-			idx[sk] = append(idx[sk], j)
-		}
-		e.classes[key] = idx
-	}
-	return idx[e.stateKeyOf(i, p)]
+	pt := e.rel.Partition(p)
+	return pt.MembersOf(pt.ClassOf(i))
 }
 
 // Isomorphic reports state isomorphism of members i and j w.r.t. P.
 func (e *Evaluator) Isomorphic(i, j int, p trace.ProcSet) bool {
-	return e.stateKeyOf(i, p) == e.stateKeyOf(j, p)
+	pt := e.rel.Partition(p)
+	return pt.ClassOf(i) == pt.ClassOf(j)
 }
 
-// HoldsAt evaluates a knowledge formula at member i under the abstract
-// relation. Knows/Sure/Common quantify over abstract classes.
-func (e *Evaluator) HoldsAt(f knowledge.Formula, i int) bool {
-	key := f.Key()
-	vec, ok := e.memo[key]
-	if !ok {
-		vec = make([]uint8, e.u.Len())
-		e.memo[key] = vec
-	}
-	switch vec[i] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	v := e.eval(f, i)
-	vec = e.memo[key]
-	if v {
-		vec[i] = 1
-	} else {
-		vec[i] = 2
-	}
-	return v
+// relation is state isomorphism as a knowledge.Relation: members i and
+// j are related for P when every process of P has the same label at
+// both, a label being an interned abstract state (and, timed, the
+// member's length). Partitions are built per process set on first use;
+// a relation is safe for concurrent use.
+type relation struct {
+	n     int
+	procs []trace.ProcID
+	// label[k][i] is the label of procs[k] at member i.
+	label [][]int32
+
+	mu    sync.Mutex
+	parts map[string]*universe.Partition
+
+	compOnce sync.Once
+	comp     []int32
+	ncomp    int
 }
 
-func (e *Evaluator) eval(f knowledge.Formula, i int) bool {
-	switch f := f.(type) {
-	case knowledge.ConstF:
-		return f.Value
-	case knowledge.Atom:
-		return f.Pred.Holds(e.u.At(i))
-	case knowledge.NotF:
-		return !e.HoldsAt(f.F, i)
-	case knowledge.AndF:
-		return e.HoldsAt(f.L, i) && e.HoldsAt(f.R, i)
-	case knowledge.OrF:
-		return e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case knowledge.ImpliesF:
-		return !e.HoldsAt(f.L, i) || e.HoldsAt(f.R, i)
-	case knowledge.KnowsF:
-		for _, j := range e.Class(i, f.P) {
-			if !e.HoldsAt(f.F, j) {
-				return false
-			}
+// newRelation interns every (member, process) abstract state once.
+func newRelation(u *universe.Universe, abs Abstraction, timed bool) *relation {
+	type state struct {
+		key   string
+		clock int
+	}
+	r := &relation{
+		n:     u.Len(),
+		procs: u.All().IDs(),
+		parts: make(map[string]*universe.Partition),
+	}
+	r.label = make([][]int32, len(r.procs))
+	for k := range r.label {
+		r.label[k] = make([]int32, r.n)
+	}
+	ids := make(map[state]int32)
+	for i := range r.n {
+		c := u.At(i)
+		s := state{}
+		if timed {
+			s.clock = c.Len()
 		}
-		return true
-	case knowledge.SureF:
-		return e.HoldsAt(knowledge.Knows(f.P, f.F), i) ||
-			e.HoldsAt(knowledge.Knows(f.P, knowledge.Not(f.F)), i)
-	case knowledge.CommonF:
-		return e.commonAt(f, i)
-	default:
-		panic(fmt.Sprintf("stateiso: unknown formula type %T", f))
+		for k, p := range r.procs {
+			s.key = abs.StateOf(p, c.Projection(trace.Singleton(p)))
+			id, ok := ids[s]
+			if !ok {
+				id = int32(len(ids))
+				ids[s] = id
+			}
+			r.label[k][i] = id
+		}
 	}
+	return r
 }
 
-func (e *Evaluator) commonAt(f knowledge.CommonF, i int) bool {
-	key := f.Key()
-	n := e.u.Len()
-	in := make([]bool, n)
-	for j := 0; j < n; j++ {
-		in[j] = e.HoldsAt(f.F, j)
-	}
-	procs := e.u.All().IDs()
-	for changed := true; changed; {
-		changed = false
-		for j := 0; j < n; j++ {
-			if !in[j] {
+// Partition returns the classes of members agreeing on the label of
+// every process of P.
+func (r *relation) Partition(p trace.ProcSet) *universe.Partition {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	pt, ok := r.parts[p.Key()]
+	if !ok {
+		// Fold P's labels into one per member: each step interns the
+		// pair (labels so far, next process's label).
+		combined := make([]int32, r.n)
+		pairs := make(map[[2]int32]int32)
+		for k, id := range r.procs {
+			if !p.Contains(id) {
 				continue
 			}
-			for _, p := range procs {
-				ok := true
-				for _, k := range e.Class(j, trace.Singleton(p)) {
-					if !in[k] {
-						ok = false
-						break
-					}
-				}
+			clear(pairs)
+			for i, l := range combined {
+				key := [2]int32{l, r.label[k][i]}
+				c, ok := pairs[key]
 				if !ok {
-					in[j] = false
-					changed = true
-					break
+					c = int32(len(pairs))
+					pairs[key] = c
 				}
+				combined[i] = c
 			}
 		}
+		pt = universe.PartitionByLabel(p, combined)
+		r.parts[p.Key()] = pt
 	}
-	vec := make([]uint8, n)
-	for j := 0; j < n; j++ {
-		if in[j] {
-			vec[j] = 1
-		} else {
-			vec[j] = 2
-		}
-	}
-	e.memo[key] = vec
-	return in[i]
+	return pt
 }
 
-// Valid reports whether f holds at every member.
-func (e *Evaluator) Valid(f knowledge.Formula) bool {
-	for i := 0; i < e.u.Len(); i++ {
-		if !e.HoldsAt(f, i) {
-			return false
+// Components labels the members by the components of the union of the
+// singleton abstract relations.
+func (r *relation) Components() ([]int32, int) {
+	r.compOnce.Do(func() {
+		parts := make([]*universe.Partition, len(r.procs))
+		for k, p := range r.procs {
+			parts[k] = r.Partition(trace.Singleton(p))
 		}
-	}
-	return true
+		r.comp, r.ncomp = universe.ComponentsOf(r.n, parts)
+	})
+	return r.comp, r.ncomp
 }
 
 // --- Checks: what survives abstraction ---
-
-// CheckEquivalenceFacts verifies the abstraction-independent knowledge
-// facts (the analogues of facts 2–8, 10, 11 of §4.1) under the abstract
-// relation. These hold for any abstraction because the abstract relation
-// is still an equivalence.
-func CheckEquivalenceFacts(e *Evaluator, p, q trace.ProcSet, b, b2 knowledge.Formula) error {
-	kb := knowledge.Knows(p, b)
-	for i := 0; i < e.u.Len(); i++ {
-		// Fact 2: invariance within the class.
-		for _, j := range e.Class(i, p) {
-			if e.HoldsAt(kb, i) != e.HoldsAt(kb, j) {
-				return fmt.Errorf("stateiso: fact 2 fails (%s) between %d and %d", e.abs.Name(), i, j)
-			}
-		}
-		// Fact 3: monotone in the process set.
-		if e.HoldsAt(kb, i) && !e.HoldsAt(knowledge.Knows(p.Union(q), b), i) {
-			return fmt.Errorf("stateiso: fact 3 fails (%s) at %d", e.abs.Name(), i)
-		}
-		// Fact 4: veridicality.
-		if e.HoldsAt(kb, i) && !e.HoldsAt(b, i) {
-			return fmt.Errorf("stateiso: fact 4 fails (%s) at %d", e.abs.Name(), i)
-		}
-		// Fact 6: conjunction.
-		lhs := e.HoldsAt(kb, i) && e.HoldsAt(knowledge.Knows(p, b2), i)
-		if lhs != e.HoldsAt(knowledge.Knows(p, knowledge.And(b, b2)), i) {
-			return fmt.Errorf("stateiso: fact 6 fails (%s) at %d", e.abs.Name(), i)
-		}
-		// Fact 8: consistency.
-		if e.HoldsAt(knowledge.Knows(p, knowledge.Not(b)), i) && e.HoldsAt(kb, i) {
-			return fmt.Errorf("stateiso: fact 8 fails (%s) at %d", e.abs.Name(), i)
-		}
-		// Fact 10: positive introspection.
-		if e.HoldsAt(knowledge.Knows(p, kb), i) != e.HoldsAt(kb, i) {
-			return fmt.Errorf("stateiso: fact 10 fails (%s) at %d", e.abs.Name(), i)
-		}
-		// Fact 11: negative introspection (Lemma 2).
-		if e.HoldsAt(knowledge.Knows(p, knowledge.Not(kb)), i) != !e.HoldsAt(kb, i) {
-			return fmt.Errorf("stateiso: fact 11 fails (%s) at %d", e.abs.Name(), i)
-		}
-	}
-	return nil
-}
 
 // CheckAbstractionSound verifies: (P knows b) under the abstraction
 // implies (P knows b) under computation isomorphism, at every member —
@@ -328,9 +254,9 @@ func CheckEquivalenceFacts(e *Evaluator, p, q trace.ProcSet, b, b2 knowledge.For
 // knowledge is harder to attain but always sound.
 func CheckAbstractionSound(abstract *Evaluator, concrete *knowledge.Evaluator, p trace.ProcSet, b knowledge.Formula) error {
 	kb := knowledge.Knows(p, b)
-	u := abstract.Universe()
-	for i := 0; i < u.Len(); i++ {
-		if abstract.HoldsAt(kb, i) && !concrete.HoldsAt(kb, i) {
+	sure := concrete.TruthVector(kb)
+	for i, k := range abstract.TruthVector(kb) {
+		if k && !sure[i] {
 			return fmt.Errorf("stateiso: abstraction %s unsound at member %d", abstract.abs.Name(), i)
 		}
 	}
@@ -351,8 +277,8 @@ type Lemma4Violation struct {
 // of the paper that does NOT survive lossy state abstraction. It returns
 // nil when the law holds throughout the universe (e.g. for FullHistory).
 func FindLemma4Violation(e *Evaluator, p trace.ProcSet, b knowledge.Formula) *Lemma4Violation {
-	kb := knowledge.Knows(p, b)
-	u := e.u
+	known := e.TruthVector(knowledge.Knows(p, b))
+	u := e.Universe()
 	for i := 0; i < u.Len(); i++ {
 		xe := u.At(i)
 		if xe.Len() == 0 {
@@ -366,7 +292,7 @@ func FindLemma4Violation(e *Evaluator, p trace.ProcSet, b knowledge.Formula) *Le
 		if xi < 0 {
 			continue
 		}
-		if e.HoldsAt(kb, xi) && !e.HoldsAt(kb, i) {
+		if known[xi] && !known[i] {
 			return &Lemma4Violation{MemberX: xi, MemberXE: i, Event: ev}
 		}
 	}

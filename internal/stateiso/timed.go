@@ -24,20 +24,11 @@ import (
 
 // NewTimedEvaluator builds an evaluator whose isomorphism classes also
 // require equal computation length (global time), composed with the
-// given per-process abstraction.
+// given per-process abstraction: every process's label is its abstract
+// state together with the member's length, so equal length is a
+// prerequisite for any class membership.
 func NewTimedEvaluator(u *universe.Universe, abs Abstraction) *Evaluator {
-	timed := NewAbstraction("timed("+abs.Name()+")", abs.fn)
-	e := NewEvaluator(u, timed)
-	// Refine every state key with the global clock by rebuilding the
-	// per-member keys: the length is appended to each process's state,
-	// which makes equal-length a prerequisite for any class membership.
-	for i := 0; i < u.Len(); i++ {
-		clock := strconv.Itoa(u.At(i).Len())
-		for p, s := range e.stateKeys[i] {
-			e.stateKeys[i][p] = s + "@t" + clock
-		}
-	}
-	return e
+	return newEvaluator(u, NewAbstraction("timed("+abs.Name()+")", abs.fn), true)
 }
 
 // Lockstep builds the universe of n processes executing rounds
@@ -79,33 +70,24 @@ func Lockstep(procs []trace.ProcID, rounds int) (*universe.Universe, error) {
 	return universe.New(comps, trace.NewProcSet(procs...)), nil
 }
 
-// RoundDone returns the predicate "every process has completed round k"
-// in a lockstep system.
-func RoundDone(procs []trace.ProcID, k int) knowledge.Predicate {
-	return knowledge.NewPredicate(fmt.Sprintf("roundDone(%d)", k), func(c *trace.Computation) bool {
-		for _, p := range procs {
-			found := false
-			for _, e := range c.Projection(trace.Singleton(p)) {
-				if e.Kind == trace.KindInternal && e.Tag == "r"+strconv.Itoa(k) {
-					found = true
-				}
-			}
-			if !found {
-				return false
-			}
-		}
-		return true
-	})
+// RoundDone returns the formula "every process has completed round k"
+// in a lockstep system: the conjunction, over the processes, of the
+// history count "performed internal event r<k>".
+func RoundDone(procs []trace.ProcID, k int) knowledge.Formula {
+	done := make([]knowledge.Formula, len(procs))
+	for i, p := range procs {
+		done[i] = knowledge.NewAtom(knowledge.DidInternal(p, "r"+strconv.Itoa(k)))
+	}
+	return knowledge.And(done...)
 }
 
 // CommonKnowledgeGained reports the members (indexes) at which common
 // knowledge of f holds under the evaluator — used to contrast the timed
 // and untimed relations on the same universe.
 func CommonKnowledgeGained(e *Evaluator, f knowledge.Formula) []int {
-	ck := knowledge.Common(f)
 	var out []int
-	for i := 0; i < e.u.Len(); i++ {
-		if e.HoldsAt(ck, i) {
+	for i, ck := range e.TruthVector(knowledge.Common(f)) {
+		if ck {
 			out = append(out, i)
 		}
 	}

@@ -19,14 +19,21 @@ import "hpl/internal/trace"
 // first use and cached; they are not part of a snapshot. The slice
 // aliases the cache and MUST be treated as read-only.
 func (u *Universe) Components() (label []int32, n int) {
-	u.compOnce.Do(func() { u.comp, u.ncomp = components(u) })
+	u.compOnce.Do(func() {
+		var parts []*Partition
+		for _, p := range u.all.IDs() {
+			parts = append(parts, u.Partition(trace.Singleton(p)))
+		}
+		u.comp, u.ncomp = ComponentsOf(u.Len(), parts)
+	})
 	return u.comp, u.ncomp
 }
 
-// components runs union-find over the members of every singleton
-// partition's classes.
-func components(u *Universe) ([]int32, int) {
-	root := make([]int32, u.Len())
+// ComponentsOf labels members 0 … n-1 by the components of the union
+// of the relations the partitions tabulate, numbered as Components
+// numbers them. It runs union-find over the members of every class.
+func ComponentsOf(n int, parts []*Partition) (label []int32, ncomp int) {
+	root := make([]int32, n)
 	for i := range root {
 		root[i] = int32(i)
 	}
@@ -37,8 +44,7 @@ func components(u *Universe) ([]int32, int) {
 		}
 		return i
 	}
-	for _, p := range u.all.IDs() {
-		pt := u.Partition(trace.Singleton(p))
+	for _, pt := range parts {
 		for c := range int32(pt.NumClasses()) {
 			ms := pt.MembersOf(c)
 			a := find(int32(ms[0]))
@@ -51,15 +57,15 @@ func components(u *Universe) ([]int32, int) {
 			}
 		}
 	}
-	label := make([]int32, len(root))
-	n := int32(0)
+	label = make([]int32, n)
+	k := int32(0)
 	for i := range root {
 		if r := find(int32(i)); r < int32(i) {
 			label[i] = label[r]
 		} else {
-			label[i] = n
-			n++
+			label[i] = k
+			k++
 		}
 	}
-	return label, int(n)
+	return label, int(k)
 }

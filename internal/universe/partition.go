@@ -79,6 +79,9 @@ func (pt *Partition) ClassOfKey(projKey string) (int32, bool) {
 // projected from the class's first member, renamed by the class's twist
 // on quotients — reconstructs the full index.
 func (pt *Partition) buildKeys() {
+	if pt.u == nil {
+		return // a PartitionByLabel table: no projection key names a class
+	}
 	var elems []map[trace.ProcID]trace.ProcID
 	if pt.twist != nil {
 		elems = pt.u.sym.elements()
@@ -122,23 +125,10 @@ func NewPartition(u *Universe, p trace.ProcSet) *Partition {
 	pt := &Partition{set: p, u: u}
 	b := newHistoryTrie(u.prefixIndex())
 	if u.sym == nil {
-		tuple, tuples := b.memberTuples(p.IDs())
 		// Tuple identifiers are new exactly at their first occurrence in
 		// processing order; renumber by first occurrence in member order.
-		remap := make([]int32, tuples.len())
-		for i := range remap {
-			remap[i] = -1
-		}
-		pt.classID = tuple
-		nclass := int32(0)
-		for j, t := range pt.classID {
-			if remap[t] < 0 {
-				remap[t] = nclass
-				nclass++
-			}
-			pt.classID[j] = remap[t]
-		}
-		pt.members = classMembers(int(nclass), ownClasses(pt.classID))
+		tuple, tuples := b.memberTuples(p.IDs())
+		pt.label(tuple, tuples.len())
 		return pt
 	}
 
@@ -232,6 +222,43 @@ func NewPartition(u *Universe, p trace.ProcSet) *Partition {
 		}
 	})
 	return pt
+}
+
+// PartitionByLabel builds the partition of members 0 … len(label)-1
+// that groups members with equal labels: label[i] ≥ 0 is member i's
+// class under some equivalence other than [P]-isomorphism (state-based
+// isomorphism, for one), and p is the process set it is taken for.
+// Classes are numbered by first occurrence in member order, as
+// NewPartition numbers them, and label is not retained. The table
+// answers no ClassOfKey lookups: projection keys do not name its
+// classes.
+func PartitionByLabel(p trace.ProcSet, label []int32) *Partition {
+	nlabel := 0
+	for _, l := range label {
+		nlabel = max(nlabel, int(l)+1)
+	}
+	pt := &Partition{set: p}
+	pt.label(slices.Clone(label), nlabel)
+	return pt
+}
+
+// label makes the table of an untwisted partition from per-member
+// labels in [0, nlabel), renumbering them in place by first occurrence.
+func (pt *Partition) label(classID []int32, nlabel int) {
+	remap := make([]int32, nlabel)
+	for i := range remap {
+		remap[i] = -1
+	}
+	nclass := int32(0)
+	for j, t := range classID {
+		if remap[t] < 0 {
+			remap[t] = nclass
+			nclass++
+		}
+		classID[j] = remap[t]
+	}
+	pt.classID = classID
+	pt.members = classMembers(int(nclass), ownClasses(classID))
 }
 
 // listing is one class a quotient member is listed under: the interned

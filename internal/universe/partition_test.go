@@ -1,6 +1,7 @@
 package universe_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -149,5 +150,43 @@ func TestNewPartitionDeterministic(t *testing.T) {
 		if a.ClassOf(i) != b.ClassOf(i) {
 			t.Fatalf("member %d classed %d vs %d", i, a.ClassOf(i), b.ClassOf(i))
 		}
+	}
+}
+
+// TestPartitionByLabelMatchesPartition rebuilds each [P]-partition from
+// sparse per-member labels (a class's identifier scaled and shifted):
+// the classes and their numbering by first occurrence must come back
+// unchanged, and the label table answers no projection-key lookups.
+// Components over the rebuilt singleton tables equal the universe's.
+func TestPartitionByLabelMatchesPartition(t *testing.T) {
+	u := partitionUniverse(t)
+	var singles []*universe.Partition
+	for _, p := range []trace.ProcSet{trace.Singleton("p"), trace.Singleton("q"), trace.NewProcSet("p", "q"), trace.NewProcSet()} {
+		want := u.Partition(p)
+		label := make([]int32, u.Len())
+		for i := range label {
+			label[i] = 3*(int32(want.NumClasses())-want.ClassOf(i)) + 1
+		}
+		got := universe.PartitionByLabel(p, label)
+		if got.Len() != want.Len() || got.NumClasses() != want.NumClasses() || got.Set().Key() != p.Key() {
+			t.Fatalf("%s: %d members in %d classes, want %d in %d", p, got.Len(), got.NumClasses(), want.Len(), want.NumClasses())
+		}
+		for i := range u.Len() {
+			if got.ClassOf(i) != want.ClassOf(i) || !slices.Equal(got.MembersOf(got.ClassOf(i)), want.MembersOf(want.ClassOf(i))) {
+				t.Fatalf("%s: member %d in class %d %v, want %d %v", p, i,
+					got.ClassOf(i), got.MembersOf(got.ClassOf(i)), want.ClassOf(i), want.MembersOf(want.ClassOf(i)))
+			}
+		}
+		if _, ok := got.ClassOfKey(u.At(0).ProjectionKey(p)); ok {
+			t.Fatalf("%s: a label partition resolved a projection key", p)
+		}
+		if p.Len() == 1 {
+			singles = append(singles, got)
+		}
+	}
+	label, n := universe.ComponentsOf(u.Len(), singles)
+	wantLabel, wantN := u.Components()
+	if n != wantN || !slices.Equal(label, wantLabel) {
+		t.Fatalf("components over label partitions: %d, universe: %d", n, wantN)
 	}
 }
