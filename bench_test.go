@@ -804,8 +804,8 @@ func BenchmarkAblationTemporalEval(b *testing.B) {
 // members), each in a fresh evaluator. "fold" is the evaluator's path
 // for the stock atoms, which are history counts: one fold down the
 // prefix index per atom. "walk" hides each atom behind NewPredicate, so
-// the evaluator samples Holds at every member over its worker pool,
-// walking the member's event chain.
+// the evaluator samples Holds serially at every member, walking the
+// member's event chain.
 func BenchmarkAblationAtomFold(b *testing.B) {
 	spec := hpl.UniverseSpec{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2, MaxEvents: 6}
 	ck, err := hpl.CheckSpec(spec)

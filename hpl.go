@@ -327,7 +327,10 @@ type (
 // NewEvaluator builds an evaluator over the universe.
 func NewEvaluator(u *Universe) *Evaluator { return knowledge.NewEvaluator(u) }
 
-// NewPredicate builds a predicate from a name and evaluation function.
+// NewPredicate builds an opaque predicate from a name and evaluation
+// function. The evaluator samples it serially at every member, which
+// builds every member's computation; the stock atoms (SentTag and the
+// rest) are one fold over the universe's columns, so prefer them.
 func NewPredicate(name string, fn func(*Computation) bool) Predicate {
 	return knowledge.NewPredicate(name, fn)
 }

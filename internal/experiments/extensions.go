@@ -38,7 +38,7 @@ func StateAbstraction() (Table, error) {
 	t := Table{
 		ID:     "EXP-EXT",
 		Title:  "§6 generalization: state-based isomorphism (what survives abstraction)",
-		Header: []string{"abstraction", "S5 facts (K2-K11)", "soundness (abs⇒concrete)", "lemma 4 (receive keeps knowledge)"},
+		Header: []string{"abstraction", "facts 1-12, §4.1", "soundness (abs⇒concrete)", "lemma 4 (receive keeps knowledge)"},
 	}
 	for _, abs := range []stateiso.Abstraction{
 		stateiso.FullHistory(),

@@ -2,6 +2,7 @@ package knowledge_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"hpl/internal/faults"
 	"hpl/internal/knowledge"
 	"hpl/internal/obs"
+	"hpl/internal/protocols/commit"
 	"hpl/internal/protocols/tokenbus"
+	"hpl/internal/protocols/tracker"
 	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
@@ -68,9 +71,35 @@ func refQuiescent(c *trace.Computation) bool {
 	return inFlight == 0
 }
 
+// refSentAny is the reference for commit's Voted and Decided, the
+// closure each was before it became a history count.
+func refSentAny(p trace.ProcID, a, b string) func(*trace.Computation) bool {
+	sa, sb := knowledge.SentTag(p, a), knowledge.SentTag(p, b)
+	return func(c *trace.Computation) bool {
+		return sa.Holds(c) || sb.Holds(c)
+	}
+}
+
+// refBit is the reference for tracker's Bit, the closure it was
+// before it became a history count.
+func refBit(owner trace.ProcID) func(*trace.Computation) bool {
+	return func(c *trace.Computation) bool {
+		flips := 0
+		for i := 0; i < c.Len(); i++ {
+			e := c.At(i)
+			if e.Proc == owner && e.Kind == trace.KindInternal && e.Tag == tracker.TagFlip {
+				flips++
+			}
+		}
+		return flips%2 == 1
+	}
+}
+
 // stockCases instantiates every stock predicate over the universe's
-// processes and every tag its members carry, fault tags included.
-func stockCases(u *universe.Universe) []stockCase {
+// processes and every tag its members carry, fault tags included, plus
+// the atoms of the protocol p the universe was built from (nil when
+// there is none).
+func stockCases(u *universe.Universe, p universe.Protocol) []stockCase {
 	procs := u.All().IDs()
 	seen := make(map[string]bool)
 	var tags []string
@@ -83,6 +112,8 @@ func stockCases(u *universe.Universe) []stockCase {
 		}
 	}
 	cases := []stockCase{
+		{knowledge.Constant(true), func(*trace.Computation) bool { return true }},
+		{knowledge.Constant(false), func(*trace.Computation) bool { return false }},
 		{knowledge.NoMessagesInFlight(), refQuiescent},
 		{knowledge.AnyCrashed(), refEver(func(e trace.Event) bool {
 			return e.Kind == trace.KindInternal && e.Tag == faults.TagCrash
@@ -135,18 +166,28 @@ func stockCases(u *universe.Universe) []stockCase {
 			}
 		}
 	}
+	switch s := p.(type) {
+	case *commit.System:
+		cases = append(cases, stockCase{s.Decided(), refSentAny(s.Coordinator, commit.TagCommit, commit.TagAbort)})
+		for _, q := range s.Participants {
+			cases = append(cases, stockCase{s.Voted(q), refSentAny(q, commit.TagVoteYes, commit.TagVoteNo)})
+		}
+	case *tracker.System:
+		cases = append(cases, stockCase{s.Bit(), refBit(s.Owner)})
+	}
 	return cases
 }
 
 // requireStockMatchesReference evaluates every stock predicate the
-// universe admits in one evaluator and checks both its truth vector and
-// Holds against the reference at every member. Sharing the evaluator
-// also checks that no two predicates share a name.
-func requireStockMatchesReference(t *testing.T, label string, u *universe.Universe) {
+// universe admits, and the atoms of its protocol p, in one evaluator
+// and checks both its truth vector and Holds against the reference at
+// every member. Sharing the evaluator also checks that no two
+// predicates share a name.
+func requireStockMatchesReference(t *testing.T, label string, u *universe.Universe, p universe.Protocol) {
 	t.Helper()
 	ev := knowledge.NewEvaluator(u)
 	checked := 0
-	for _, c := range stockCases(u) {
+	for _, c := range stockCases(u, p) {
 		if !c.p.SymmetricUnder(u.Symmetry()) {
 			continue
 		}
@@ -169,11 +210,12 @@ func requireStockMatchesReference(t *testing.T, label string, u *universe.Univer
 }
 
 // TestStockAtomsMatchReference differences every stock predicate's
-// history-count evaluation against its reference on the differential
-// protocols and on free p,q,r under each fault model: enumerated at
-// parallelism 1, 2 and 8, full and (where the protocol is symmetric)
-// quotient, snapshot-loaded and extended by one event, plus a
-// hand-built universe that is unsorted and not prefix closed.
+// history-count evaluation, and that of the commit and tracker atoms,
+// against its reference on the differential protocols and on free
+// p,q,r under each fault model: enumerated at parallelism 1, 2 and 8,
+// full and (where the protocol is symmetric, and for commit under
+// p1↔p2) quotient, snapshot-loaded and extended by one event, plus
+// hand-built universes that are unsorted and not prefix closed.
 func TestStockAtomsMatchReference(t *testing.T) {
 	type system struct {
 		name      string
@@ -183,6 +225,10 @@ func TestStockAtomsMatchReference(t *testing.T) {
 	var systems []system
 	for _, du := range diffUniverses(t) {
 		systems = append(systems, system{du.name, du.u.Protocol(), du.u.MaxEvents()})
+	}
+	p1p2, err := universe.NewSymmetry([]trace.ProcID{"p1", "p2"})
+	if err != nil {
+		t.Fatal(err)
 	}
 	free3 := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
 	for _, fm := range []string{"none", "crash", "drop:1", "dup:1"} {
@@ -198,6 +244,9 @@ func TestStockAtomsMatchReference(t *testing.T) {
 			if g := universe.InferSymmetry(s.p); !g.Trivial() {
 				syms = append(syms, g)
 			}
+			if _, ok := s.p.(*commit.System); ok {
+				syms = append(syms, p1p2)
+			}
 			for _, sym := range syms {
 				for _, workers := range []int{1, 2, 8} {
 					label := fmt.Sprintf("workers=%d quotient=%v", workers, sym != nil)
@@ -209,7 +258,7 @@ func TestStockAtomsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireStockMatchesReference(t, label, u)
+					requireStockMatchesReference(t, label, u, s.p)
 					var buf bytes.Buffer
 					if err := universe.WriteSnapshot(&buf, u, "d"); err != nil {
 						t.Fatal(err)
@@ -218,12 +267,12 @@ func TestStockAtomsMatchReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireStockMatchesReference(t, label+" snapshot load", loaded)
+					requireStockMatchesReference(t, label+" snapshot load", loaded, s.p)
 					x, err := universe.Extend(u, universe.WithMaxEvents(s.maxEvents+1), universe.WithParallelism(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireStockMatchesReference(t, label+" extension", x)
+					requireStockMatchesReference(t, label+" extension", x, s.p)
 				}
 			}
 		})
@@ -231,15 +280,50 @@ func TestStockAtomsMatchReference(t *testing.T) {
 
 	// Two members in three, shuffled: some prefixes are missing and
 	// parents may follow their children.
-	u := diffUniverses(t)[1].u // tokenbus
-	var comps []*trace.Computation
-	for i := 1; i < u.Len(); i++ {
-		if i%3 != 0 {
-			comps = append(comps, u.At(i))
+	for _, du := range diffUniverses(t) {
+		switch du.name {
+		case "tokenbus", "commit", "tracker":
+		default:
+			continue
 		}
+		var comps []*trace.Computation
+		for i := 1; i < du.u.Len(); i++ {
+			if i%3 != 0 {
+				comps = append(comps, du.u.At(i))
+			}
+		}
+		rand.New(rand.NewSource(7)).Shuffle(len(comps), func(i, j int) { comps[i], comps[j] = comps[j], comps[i] })
+		requireStockMatchesReference(t, du.name+" hand-built", universe.New(comps, du.u.All()), du.u.Protocol())
 	}
-	rand.New(rand.NewSource(7)).Shuffle(len(comps), func(i, j int) { comps[i], comps[j] = comps[j], comps[i] })
-	requireStockMatchesReference(t, "hand-built", universe.New(comps, u.All()))
+}
+
+// TestPortedAtomsOnCommitQuotient checks the commit atoms' declared
+// supports on the quotient of c,p1,p2 under p1↔p2: Decided depends
+// only on the coordinator, so it evaluates there and its orbit-weighted
+// count equals its holding count on the full universe; Voted(p1) is
+// refused, since the group moves p1.
+func TestPortedAtomsOnCommitQuotient(t *testing.T) {
+	s := commit.MustNew("c", "p1", "p2")
+	p1p2, err := universe.NewSymmetry([]trace.ProcID{"p1", "p2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxEvents := s.SuggestedMaxEvents()
+	full := universe.MustEnumerateWith(s, universe.WithMaxEvents(maxEvents))
+	quo := universe.MustEnumerateWith(s, universe.WithMaxEvents(maxEvents), universe.WithSymmetry(p1p2))
+	decided := knowledge.NewAtom(s.Decided())
+	want, _ := knowledge.NewEvaluator(full).Summary(decided)
+	ev := knowledge.NewEvaluator(quo)
+	if err := ev.ValidateSymmetric(decided); err != nil {
+		t.Fatalf("Decided refused on the p1↔p2 quotient: %v", err)
+	}
+	if got := ev.CountWeighted(decided); got != int64(want) || want == 0 {
+		t.Errorf("Decided: weighted count %d on the quotient, %d on the full universe", got, want)
+	}
+	var asym *knowledge.AsymmetryError
+	if err := ev.ValidateSymmetric(knowledge.NewAtom(s.Voted("p1"))); !errors.As(err, &asym) {
+		t.Errorf("Voted(p1) on the p1↔p2 quotient: got %v, want an *AsymmetryError", err)
+	}
 }
 
 // TestTokenAtNamesHolderAndTag evaluates two token atoms that differ

@@ -2,7 +2,6 @@ package knowledge
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -14,10 +13,10 @@ import (
 // Evaluator evaluates epistemic formulas over a universe set-at-a-time.
 // Every distinct subformula is evaluated exactly once, bottom-up, into
 // a bitset truth vector over all members. An atom that is a history
-// count (every stock predicate) is one fold down the universe's prefix
-// index, and an opaque one fans out over a worker pool. Boolean
-// connectives are word-parallel operations, (P knows F) is one
-// all-reduce per class of the relation's partition for P. Common
+// count (every predicate this module ships) is one fold down the
+// universe's prefix index, and an opaque one is sampled member by
+// member. Boolean connectives are word-parallel operations, (P knows
+// F) is one all-reduce per class of the relation's partition for P. Common
 // knowledge is evaluated by components (the paper's Lemma 3): C F
 // holds at x exactly when F holds throughout x's component in the
 // union of the singleton relations, so it is "every member" when F is
@@ -274,9 +273,8 @@ func (e *Evaluator) vector(id int32) bitset {
 // atomVector evaluates a predicate at every member and records the time
 // as an eval.atom phase in the universe's trace. A history count is one
 // fold down the prefix index (universe.HistorySums) and one test per
-// member. An opaque predicate is sampled at every member over a worker
-// pool; chunk boundaries are multiples of 64 so each worker owns whole
-// words of the shared bitset.
+// member. An opaque predicate is sampled serially at every member's
+// computation, which builds every member view.
 func (e *Evaluator) atomVector(p Predicate) bitset {
 	// Backstop for the non-error-returning query paths: an asymmetric
 	// predicate sampled at orbit representatives would yield orbit-
@@ -299,34 +297,11 @@ func (e *Evaluator) atomVector(p Predicate) bitset {
 		}
 		return v
 	}
-	const minChunk = 2048
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < 2*minChunk {
-		for i := 0; i < n; i++ {
-			if p.Holds(e.u.At(i)) {
-				v.set(i)
-			}
+	for i := 0; i < n; i++ {
+		if p.Holds(e.u.At(i)) {
+			v.set(i)
 		}
-		return v
 	}
-	chunk := (n/workers + 64) &^ 63
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if p.Holds(e.u.At(i)) {
-					v.set(i)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return v
 }
 

@@ -13,15 +13,17 @@ import (
 // only on per-process projections, never on the interleaving of
 // independent events. CheckWellFormed verifies this over a universe.
 //
-// A predicate is either an opaque function of the computation
-// (NewPredicate) or a history count: a weight per event and a test on
-// the weights' sum over the computation's events. In the paper a
+// A predicate is either a history count (NewCount): a weight per event
+// and a test on the weights' sum over the computation's events, or an
+// opaque function of the computation (NewPredicate). In the paper a
 // computation is its prefix plus one event, so a count at (x;e) is the
 // count at x plus the weight of e, and the evaluator computes a count's
 // truth vector in one fold down the universe's prefix index (see
-// universe.HistorySums) instead of walking every member's events. Every
-// stock predicate is a history count; Holds derives its value at a
-// single computation from the same weight and test.
+// universe.HistorySums), reading only the universe's columns. Every
+// predicate this module ships is a history count; Holds derives its
+// value at a single computation from the same weight and test. An
+// opaque predicate is sampled serially at every member, which builds
+// every member's computation (universe.Universe.At).
 //
 // Names must uniquely identify semantics: the evaluator memoizes atoms
 // by name, so a name must spell out every parameter the value depends
@@ -64,15 +66,16 @@ func (h *historyCount) holds(c *trace.Computation) bool {
 	return h.test(sum)
 }
 
-// countPredicate builds the history-count predicate test(Σ weight).
-func countPredicate(name string, weight func(trace.Event) int32, test func(sum int32) bool) Predicate {
+// NewCount builds the history-count predicate test(Σ weight), which
+// the evaluator folds down the prefix index for every member at once.
+func NewCount(name string, weight func(trace.Event) int32, test func(sum int32) bool) Predicate {
 	h := &historyCount{weight, test}
 	return Predicate{name: name, fn: h.holds, count: h}
 }
 
 // ever is the history count "some event matches".
 func ever(name string, match func(trace.Event) bool) Predicate {
-	return countPredicate(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
+	return NewCount(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
 }
 
 func indicator(b bool) int32 {
@@ -90,7 +93,9 @@ const (
 	symFixed                // invariant under renamings fixing support
 )
 
-// NewPredicate builds a predicate from a name and an evaluation function.
+// NewPredicate builds an opaque predicate from a name and an evaluation
+// function, which the evaluator calls serially at every member's
+// computation; prefer NewCount.
 func NewPredicate(name string, fn func(*trace.Computation) bool) Predicate {
 	return Predicate{name: name, fn: fn}
 }
@@ -178,7 +183,7 @@ func DidInternal(p trace.ProcID, tag string) Predicate {
 // EventCountAtLeast holds when the members of P have performed at least n
 // events in total.
 func EventCountAtLeast(p trace.ProcSet, n int) Predicate {
-	return countPredicate(fmt.Sprintf("count(%s)>=%s", p.Key(), strconv.Itoa(n)),
+	return NewCount(fmt.Sprintf("count(%s)>=%s", p.Key(), strconv.Itoa(n)),
 		func(e trace.Event) int32 { return indicator(p.Contains(e.Proc)) },
 		func(sum int32) bool { return int(sum) >= n },
 	).FixedOn(p.IDs()...)
@@ -191,7 +196,7 @@ func EventCountAtLeast(p trace.ProcSet, n int) Predicate {
 // receipts minus its sends of the token.
 func TokenAt(p trace.ProcID, initialHolder trace.ProcID, tag string) Predicate {
 	want := indicator(p != initialHolder)
-	return countPredicate(fmt.Sprintf("token@%s(%s,%s)", p, initialHolder, tag),
+	return NewCount(fmt.Sprintf("token@%s(%s,%s)", p, initialHolder, tag),
 		func(e trace.Event) int32 {
 			if e.Proc != p || e.Tag != tag {
 				return 0
@@ -219,7 +224,7 @@ func transfer(k trace.Kind) int32 {
 // receives each message at most once and only after its send, so no
 // message is in flight exactly when sends and receives are equally many.
 func NoMessagesInFlight() Predicate {
-	return countPredicate("quiescent",
+	return NewCount("quiescent",
 		func(e trace.Event) int32 { return transfer(e.Kind) },
 		func(sum int32) bool { return sum == 0 },
 	).Symmetric()
@@ -227,7 +232,10 @@ func NoMessagesInFlight() Predicate {
 
 // Constant returns the constant predicate with the given value.
 func Constant(v bool) Predicate {
-	return NewPredicate("const("+strconv.FormatBool(v)+")", func(*trace.Computation) bool { return v }).Symmetric()
+	return NewCount("const("+strconv.FormatBool(v)+")",
+		func(trace.Event) int32 { return 0 },
+		func(int32) bool { return v },
+	).Symmetric()
 }
 
 // AnySentTag holds when some process has sent a message tagged tag. It

@@ -79,10 +79,7 @@ func (s *System) VotedYes(p trace.ProcID) knowledge.Predicate {
 
 // Voted holds when participant p has sent any vote.
 func (s *System) Voted(p trace.ProcID) knowledge.Predicate {
-	yes, no := knowledge.SentTag(p, TagVoteYes), knowledge.SentTag(p, TagVoteNo)
-	return knowledge.NewPredicate(fmt.Sprintf("voted(%s)", p), func(c *trace.Computation) bool {
-		return yes.Holds(c) || no.Holds(c)
-	})
+	return sentAny(fmt.Sprintf("voted(%s)", p), p, TagVoteYes, TagVoteNo)
 }
 
 // DecidedCommit holds when the coordinator has sent at least one commit
@@ -93,10 +90,20 @@ func (s *System) DecidedCommit() knowledge.Predicate {
 
 // Decided holds when the coordinator has sent any decision.
 func (s *System) Decided() knowledge.Predicate {
-	c, a := knowledge.SentTag(s.Coordinator, TagCommit), knowledge.SentTag(s.Coordinator, TagAbort)
-	return knowledge.NewPredicate("decided", func(x *trace.Computation) bool {
-		return c.Holds(x) || a.Holds(x)
-	})
+	return sentAny("decided", s.Coordinator, TagCommit, TagAbort)
+}
+
+// sentAny is the history count "p has sent a message tagged a or b".
+func sentAny(name string, p trace.ProcID, a, b string) knowledge.Predicate {
+	return knowledge.NewCount(name,
+		func(e trace.Event) int32 {
+			if e.Kind == trace.KindSend && e.Proc == p && (e.Tag == a || e.Tag == b) {
+				return 1
+			}
+			return 0
+		},
+		func(sum int32) bool { return sum > 0 },
+	).FixedOn(p)
 }
 
 // GotCommit holds when participant p has received the commit decision.

@@ -50,16 +50,15 @@ func New(owner, tracker trace.ProcID, maxFlips int) (*System, error) {
 // events (false initially). It is local to the owner.
 func (s *System) Bit() knowledge.Predicate {
 	owner := s.Owner
-	return knowledge.NewPredicate(fmt.Sprintf("bit@%s", owner), func(c *trace.Computation) bool {
-		flips := 0
-		for i := 0; i < c.Len(); i++ {
-			e := c.At(i)
+	return knowledge.NewCount(fmt.Sprintf("bit@%s", owner),
+		func(e trace.Event) int32 {
 			if e.Proc == owner && e.Kind == trace.KindInternal && e.Tag == TagFlip {
-				flips++
+				return 1
 			}
-		}
-		return flips%2 == 1
-	})
+			return 0
+		},
+		func(sum int32) bool { return sum%2 == 1 },
+	).FixedOn(owner)
 }
 
 // --- universe.Protocol ---

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"hpl/internal/faults"
+	"hpl/internal/knowledge"
 	"hpl/internal/protocols/commit"
+	"hpl/internal/protocols/tracker"
 	"hpl/internal/trace"
 	"hpl/internal/universe"
 )
@@ -187,5 +189,63 @@ func requireSameComputation(t *testing.T, label string, got, want *trace.Computa
 	if !slices.Equal(got.Events(), want.Events()) || got.Hash() != want.Hash() || got.Len() != want.Len() {
 		t.Fatalf("%s = %q (hash %v, %d events), want %q (hash %v, %d events)",
 			label, got.Key(), got.Hash(), got.Len(), want.Key(), want.Hash(), want.Len())
+	}
+}
+
+// TestChecksMakeNoViews pins that model checks over the commit and
+// tracker protocols read only the universe's columns: K and C formulas
+// over commit's Voted, Decided and GotCommit, and the locality checks
+// of the tracked bit (local to its owner, not to the tracker), build no
+// member's computation. Views appear only once a failure witness is
+// rendered with At.
+func TestChecksMakeNoViews(t *testing.T) {
+	cmt := commit.MustNew("c", "p1", "p2")
+	u := universe.MustEnumerateWith(cmt, universe.WithMaxEvents(cmt.SuggestedMaxEvents()))
+	e := knowledge.NewEvaluator(u)
+	decided := knowledge.NewAtom(cmt.Decided())
+	coord := trace.Singleton(cmt.Coordinator)
+	for _, p := range cmt.Participants {
+		voted := knowledge.NewAtom(cmt.Voted(p))
+		if !e.Valid(knowledge.Implies(decided, knowledge.Knows(coord, voted))) {
+			t.Fatalf("commit: the coordinator decided without knowing %s voted", p)
+		}
+	}
+	got := knowledge.NewAtom(cmt.GotCommit("p2"))
+	if !e.Valid(knowledge.Implies(got, knowledge.Knows(trace.Singleton("p2"), knowledge.NewAtom(cmt.VotedYes("p1"))))) {
+		t.Fatal("commit: p2 got commit without knowing p1 voted yes")
+	}
+	_, witness := e.Summary(knowledge.Common(decided))
+	if witness < 0 {
+		t.Fatal("commit: the decision is common knowledge everywhere")
+	}
+	requireViews(t, "commit", u, witness)
+
+	trk, err := tracker.New("q", "p", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u = universe.MustEnumerateWith(trk, universe.WithMaxEvents(trk.SuggestedMaxEvents()))
+	e = knowledge.NewEvaluator(u)
+	bit := knowledge.NewAtom(trk.Bit())
+	if !e.LocalTo(bit, trace.Singleton(trk.Owner)) {
+		t.Fatal("tracker: the bit is not local to its owner")
+	}
+	if e.LocalTo(bit, trace.Singleton(trk.Tracker)) {
+		t.Fatal("tracker: the bit is local to the tracker")
+	}
+	_, witness = e.Summary(knowledge.Sure(trace.Singleton(trk.Tracker), bit))
+	requireViews(t, "tracker", u, witness)
+}
+
+// requireViews checks that u has built no view, then renders member
+// witness and checks that it has.
+func requireViews(t *testing.T, name string, u *universe.Universe, witness int) {
+	t.Helper()
+	if n := universe.BuiltViews(u); n != 0 {
+		t.Errorf("%s: the checks built %d member views", name, n)
+	}
+	u.At(witness)
+	if universe.BuiltViews(u) == 0 {
+		t.Errorf("%s: rendering witness %d built no view", name, witness)
 	}
 }
