@@ -20,9 +20,11 @@ import (
 //	fmt.Println(rep.Valid())
 //
 // A Checker is safe for concurrent use: the evaluator serializes
-// queries internally and memoizes one truth vector per distinct
-// subformula, so reusing one session across many queries — from one
-// goroutine or many — is much cheaper than re-creating it. (Define is
+// queries internally and evaluates each distinct subformula once while
+// its truth vector is resident, so reusing one session across many
+// queries — from one goroutine or many — is much cheaper than
+// re-creating it. The memo is never trimmed unless its owner asks
+// (Evaluator.TrimMemo, as hpld's cache does). (Define is
 // the exception: seed the vocabulary before sharing the session.)
 type Checker struct {
 	u     *Universe

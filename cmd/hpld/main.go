@@ -5,7 +5,10 @@
 // (hpl.UniverseSpec.Digest), concurrent requests for the same uncached
 // universe share one build, and queries against a warm universe reuse
 // the session's memoized truth vectors, so repeat formulas are
-// near-free.
+// near-free. The -mem-mib budget covers the universes and the truth
+// vectors their sessions hold: over budget, the cache trims the least
+// recently used sessions' memos before it evicts any universe, and a
+// trimmed vector is recomputed when next needed.
 //
 // Usage:
 //
@@ -16,7 +19,7 @@
 //
 //	POST /v1/check           {universe, formulas[]} → per-formula validity over the universe
 //	POST /v1/check-temporal  {universe, formulas[]} → verdicts at the initial computation
-//	POST /v1/universe-stats  {universe}             → members, bytes, build time, atoms
+//	POST /v1/universe-stats  {universe}             → members, bytes, build time, atoms, memo size
 //	GET  /v1/health                                 → process vitals + registry snapshot
 //	GET  /metrics                                   → Prometheus text exposition
 //
@@ -67,7 +70,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("hpld", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
-	memMiB := fs.Int64("mem-mib", 512, "universe cache memory budget in MiB")
+	memMiB := fs.Int64("mem-mib", 512, "cache memory budget in MiB: universes plus their sessions' memoized truth vectors")
 	maxMembers := fs.Int("max-members", 500000, "per-universe enumeration cap (members)")
 	par := fs.Int("par", 0, "enumeration workers per build (0 = GOMAXPROCS)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight queries")

@@ -2,8 +2,11 @@ package knowledge
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hpl/internal/temporal"
 	"hpl/internal/trace"
@@ -11,8 +14,8 @@ import (
 )
 
 // Evaluator evaluates epistemic formulas over a universe set-at-a-time.
-// Every distinct subformula is evaluated exactly once, bottom-up, into
-// a bitset truth vector over all members. An atom that is a history
+// Every distinct subformula is evaluated once while resident, bottom-up,
+// into a bitset truth vector over all members. An atom that is a history
 // count (every predicate this module ships) is one fold down the
 // universe's prefix index, and an opaque one is sampled member by
 // member. Boolean connectives are word-parallel operations, (P knows
@@ -30,6 +33,9 @@ import (
 // Vectors are memoized by hash-consed formula ID (see the
 // interner in formula.go), so nested knowledge costs each subformula
 // one pass over the universe no matter how many members are queried.
+// The memo grows without bound unless its owner trims it: MemoBytes
+// reports what it holds, and TrimMemo drops every vector but the atoms'
+// and constants', recomputing each on its next use.
 //
 // K and C read their classes and components from the evaluator's
 // Relation. NewEvaluator takes the universe's own: [P]-isomorphism, the
@@ -51,9 +57,18 @@ type Evaluator struct {
 
 	mu sync.Mutex
 	in *interner
-	// vecs[id] is the truth vector of interned node id; nil until the
-	// node is first evaluated.
+	// vecs[id] is the truth vector of interned node id: nil until the
+	// node is first evaluated, and again once TrimMemo evicts it.
 	vecs []bitset
+	// words counts the words of all resident vectors and pinnedWords
+	// those of atoms and constants; resident counts the vectors.
+	words, pinnedWords int64
+	resident           int
+	evictions          int64
+	// bytes and pinned are MemoBytes and PinnedBytes, published after
+	// every query and trim so that a cache can read them without
+	// waiting for the lock.
+	bytes, pinned atomic.Int64
 }
 
 // Relation is the indistinguishability relation K and C quantify
@@ -206,7 +221,9 @@ func (e *Evaluator) IsConstant(f Formula) bool {
 func (e *Evaluator) vectorOf(f Formula) bitset {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.vector(e.in.intern(f))
+	v := e.vector(e.in.intern(f))
+	e.publishLocked()
+	return v
 }
 
 // vector computes (or fetches) the truth vector of interned node id.
@@ -261,13 +278,89 @@ func (e *Evaluator) vector(id int32) bitset {
 		panic(fmt.Sprintf("knowledge: unknown interned node kind %d", nd.kind))
 	}
 	evalKind[nd.kind].ObserveDuration(time.Since(start))
-	if int(id) >= len(e.vecs) {
-		grown := make([]bitset, len(e.in.nodes))
-		copy(grown, e.vecs)
-		e.vecs = grown
+	// Grow geometrically: a session that keeps meeting new formulas
+	// must not copy its whole slot table for every new node.
+	if need := len(e.in.nodes); need > len(e.vecs) {
+		e.vecs = slices.Grow(e.vecs, need-len(e.vecs))[:need]
 	}
 	e.vecs[id] = v
+	e.words += int64(len(v))
+	e.resident++
+	if nd.pinned() {
+		e.pinnedWords += int64(len(v))
+	}
 	return v
+}
+
+// MemoStats describes an evaluator's memo.
+type MemoStats struct {
+	// Bytes is MemoBytes.
+	Bytes int64
+	// Vectors counts the resident truth vectors, Evictions the vectors
+	// TrimMemo has dropped.
+	Vectors   int
+	Evictions int64
+}
+
+// MemoStats reports the memo's size and evictions.
+func (e *Evaluator) MemoStats() MemoStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return MemoStats{Bytes: e.memoBytesLocked(), Vectors: e.resident, Evictions: e.evictions}
+}
+
+// MemoBytes reports the bytes the memo holds: every resident truth
+// vector, the slot table that indexes them, and the interner's nodes and
+// keys. It is what the last query or trim left, read without the lock,
+// so a cache may poll it while other queries run.
+func (e *Evaluator) MemoBytes() int64 { return e.bytes.Load() }
+
+// PinnedBytes reports the part of MemoBytes that TrimMemo cannot free:
+// the atom and constant vectors with their slots and interned nodes.
+func (e *Evaluator) PinnedBytes() int64 { return e.pinned.Load() }
+
+// slotBytes is the memo's cost per node slot.
+const slotBytes = int64(unsafe.Sizeof(bitset(nil)))
+
+func (e *Evaluator) memoBytesLocked() int64 {
+	return 8*e.words + slotBytes*int64(cap(e.vecs)) + e.in.bytes()
+}
+
+func (e *Evaluator) publishLocked() {
+	e.bytes.Store(e.memoBytesLocked())
+	e.pinned.Store(8*e.pinnedWords + slotBytes*int64(e.in.pinned) + e.in.pinnedBytes)
+}
+
+// TrimMemo drops every truth vector but the atoms' and constants', the
+// leaves the others are recomputed from, and rebuilds the interner with
+// those leaves alone, so that the memo shrinks to PinnedBytes. It
+// reports how many bytes it freed. It waits for the query in progress,
+// so it never runs inside an evaluation. A later query recomputes what
+// it needs. Dropped vectors are never reused: a caller may still be
+// reading one.
+func (e *Evaluator) TrimMemo() (freed int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	before := e.memoBytesLocked()
+	in := newInterner()
+	in.nodes = make([]inode, 0, e.in.pinned)
+	vecs := make([]bitset, e.in.pinned)
+	resident := 0
+	for id, nd := range e.in.nodes {
+		if nd.pinned() {
+			nid := in.leaf(nd)
+			if id < len(e.vecs) && e.vecs[id] != nil {
+				vecs[nid] = e.vecs[id]
+				resident++
+			}
+		}
+	}
+	dropped := e.resident - resident
+	e.in, e.vecs, e.words, e.resident = in, vecs, e.pinnedWords, resident
+	e.evictions += int64(dropped)
+	memoEvictions.Add(int64(dropped))
+	e.publishLocked()
+	return before - e.memoBytesLocked()
 }
 
 // atomVector evaluates a predicate at every member and records the time

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"hpl/internal/trace"
 )
@@ -344,6 +345,11 @@ type inode struct {
 	set  trace.ProcSet // inKnows
 }
 
+// pinned reports whether the node's truth vector stays resident when
+// the memo is trimmed: atoms and constants are the leaves every other
+// vector is recomputed from.
+func (n inode) pinned() bool { return n.kind == inConst || n.kind == inAtom }
+
 // interner hash-conses formulas into dense node IDs. Node keys are
 // short (a kind tag plus child IDs) and are built in a reusable scratch
 // buffer, so re-interning an already-seen formula does O(size) map
@@ -355,6 +361,23 @@ type interner struct {
 	nodes []inode
 	buf   []byte // scratch for node keys; valid between child interns only
 	psBuf []byte // scratch for process-set keys
+	// keyBytes estimates the ids map: every key's bytes plus keyOverhead.
+	keyBytes int64
+	// pinned counts the atom and constant nodes, and pinnedBytes their
+	// share of bytes: their node table entries and keys.
+	pinned      int
+	pinnedBytes int64
+}
+
+// keyOverhead is a map entry's cost beyond its key's bytes: the slot
+// (string header and ID) at the map's load factor, and the key
+// allocation's rounding.
+const keyOverhead = 40
+
+// bytes estimates the interner's resident size: its node table and
+// its key map.
+func (t *interner) bytes() int64 {
+	return int64(cap(t.nodes))*int64(unsafe.Sizeof(inode{})) + t.keyBytes
 }
 
 func newInterner() *interner {
@@ -386,7 +409,12 @@ func (t *interner) node(key []byte, n inode) int32 {
 	}
 	id := int32(len(t.nodes))
 	t.ids[string(key)] = id
+	t.keyBytes += int64(len(key)) + keyOverhead
 	t.nodes = append(t.nodes, n)
+	if n.pinned() {
+		t.pinned++
+		t.pinnedBytes += int64(unsafe.Sizeof(inode{})) + int64(len(key)) + keyOverhead
+	}
 	return id
 }
 
@@ -447,6 +475,30 @@ func (t *interner) internTrue() int32 {
 	return t.node(t.key('t'), inode{kind: inConst, val: true})
 }
 
+func (t *interner) internFalse() int32 {
+	return t.node(t.key('f'), inode{kind: inConst})
+}
+
+func (t *interner) internAtom(p Predicate) int32 {
+	b := append(t.buf[:0], 'a')
+	b = append(b, p.Name()...)
+	t.buf = b
+	return t.node(b, inode{kind: inAtom, pred: p})
+}
+
+// leaf interns atom or constant node n; the evaluator rebuilds its
+// interner from these when it trims its memo.
+func (t *interner) leaf(n inode) int32 {
+	switch {
+	case n.kind == inAtom:
+		return t.internAtom(n.pred)
+	case n.val:
+		return t.internTrue()
+	default:
+		return t.internFalse()
+	}
+}
+
 // intern returns the dense ID of f, interning every subformula.
 func (t *interner) intern(f Formula) int32 {
 	switch f := f.(type) {
@@ -454,12 +506,9 @@ func (t *interner) intern(f Formula) int32 {
 		if f.Value {
 			return t.internTrue()
 		}
-		return t.node(t.key('f'), inode{kind: inConst})
+		return t.internFalse()
 	case Atom:
-		b := append(t.buf[:0], 'a')
-		b = append(b, f.Pred.Name()...)
-		t.buf = b
-		return t.node(b, inode{kind: inAtom, pred: f.Pred})
+		return t.internAtom(f.Pred)
 	case NotF:
 		return t.internNot(t.intern(f.F))
 	case AndF:

@@ -11,6 +11,8 @@ var (
 		"Truth-vector requests answered from the hash-consed memo.")
 	memoMisses = obs.Default.Counter("hpl_eval_memo_misses_total",
 		"Truth-vector requests that computed a new vector.")
+	memoEvictions = obs.Default.Counter("hpl_eval_memo_evictions_total",
+		"Truth vectors evicted from a memo trimmed to its budget.")
 	// evalKind is indexed by internKind. Timings are inclusive of child
 	// subformula evaluation: a K-operator's time contains its body's
 	// (unless the body was memoized), so sums across kinds overlap.

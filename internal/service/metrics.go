@@ -25,6 +25,8 @@ var (
 		"Estimated resident bytes of all cached universes.")
 	regUniversesGauge = obs.Default.Gauge("hpld_registry_universes",
 		"Cached universes currently resident.")
+	memoBytesGauge = obs.Default.Gauge("hpl_eval_memo_bytes",
+		"Bytes the cached sessions' memos hold: truth vectors, their slots and interned formula nodes.")
 	httpInflight = obs.Default.Gauge("hpld_http_inflight",
 		"HTTP requests currently being served.")
 )

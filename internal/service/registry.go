@@ -2,15 +2,19 @@
 // cmd/hpld: a registry that keeps enumerated universes hot in an
 // LRU-evicted, memory-accounted cache keyed by the canonical spec digest
 // (hpl.UniverseSpec.Digest), and an HTTP/JSON server answering formula
-// queries against them.
+// queries against them. The cache's budget covers each universe, its
+// session's tables and the truth vectors its memo holds: over budget,
+// the registry first trims memos, least recently used session first,
+// and evicts universes only when what no trim frees does not fit.
 //
 // The engine underneath was built for exactly this shape of load:
 // universes are immutable once enumerated, Checker/Evaluator are safe
 // for concurrent queries and memoize one truth vector per distinct
-// hash-consed subformula, so N clients interrogating one warm universe
-// share every intermediate result. What the package adds is the
-// multi-tenant shell — singleflight on concurrent builds of the same
-// universe, per-universe byte accounting, eviction, cancellation
+// hash-consed subformula while it is resident, so N clients
+// interrogating one warm universe share every intermediate result.
+// What the package adds is the multi-tenant shell — singleflight on
+// concurrent builds of the same universe, per-universe byte accounting
+// that includes each session's memo, memo trimming and eviction, cancellation
 // plumbed through to the enumeration engine, and structured client
 // errors instead of OOMs.
 package service
@@ -26,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hpl"
@@ -59,10 +64,12 @@ func badSpec(err error) *Error {
 
 // Config parameterizes a Registry.
 type Config struct {
-	// MaxBytes is the cache's memory budget across all universes
-	// (estimated resident bytes, see EstimateBytes); <= 0 defaults to
+	// MaxBytes is the cache's memory budget across all universes: each
+	// one's estimated structure and tables (see EstimateBytes) plus the
+	// bytes its session's memo holds (Entry.Bytes); <= 0 defaults to
 	// 512 MiB. A single universe whose estimate exceeds the whole
-	// budget is rejected with a structured 413 rather than cached.
+	// budget is rejected with a structured 413 rather than cached; a
+	// memo that outgrows it is trimmed.
 	MaxBytes int64
 	// MaxMembers clamps every request's enumeration cap: a request with
 	// no cap (or a larger one) gets this cap, so runaway specs fail
@@ -109,7 +116,11 @@ type Registry struct {
 	entries map[string]*Entry
 	lru     *list.List // front = most recently used; values are *Entry
 	calls   map[string]*call
-	bytes   int64
+	// bytes sums the entries' fixed estimates and memo their charged
+	// memo bytes (see Entry.chargeMemo). bytes changes only under mu;
+	// both are atomic so that Settle's check within budget takes no
+	// lock.
+	bytes, memo atomic.Int64
 
 	builds, hits, misses, evictions          int64
 	snapshotHits, snapshotMisses, snapErrors int64
@@ -130,7 +141,7 @@ const (
 
 // Entry is one cached universe with its session and accounting. The
 // fields are immutable after insertion except the registry-managed LRU
-// bookkeeping and the byte estimate, which is re-charged when an
+// bookkeeping and the fixed byte estimate, which is re-charged when an
 // extension starts sharing the entry's structure.
 type Entry struct {
 	// Spec is the canonical spec the universe was built from.
@@ -150,27 +161,58 @@ type Entry struct {
 	// BuiltAt is when the build completed.
 	BuiltAt time.Time
 
-	mu    sync.Mutex
-	bytes int64
-	hits  int64
-	elem  *list.Element
+	mu sync.Mutex
+	// fixed is the structure and table estimate (EstimateBytes), or the
+	// tables alone (EstimateSessionBytes) once an extension shares the
+	// structure.
+	fixed int64
+	// memo is the memo bytes charged to the cache as of the last
+	// Settle; an evicted entry is charged nothing more.
+	memo    int64
+	evicted bool
+	hits    int64
+	elem    *list.Element
 }
 
-// Bytes reports the entry's estimated resident footprint (see
-// EstimateBytes). When a cached universe becomes the seed of an
-// extension, the extended entry charges their shared structure and the
-// seed is re-charged to its session-only estimate, so the two entries
-// together account the shared prefix tree once.
+// Bytes reports the entry's resident footprint: its fixed estimate
+// (see EstimateBytes) plus the bytes its session's memo holds now. When
+// a cached universe becomes the seed of an extension, the extended
+// entry charges their shared structure and the seed is re-charged to
+// its session-only estimate, so the two entries together account the
+// shared prefix tree once.
 func (e *Entry) Bytes() int64 {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bytes
+	fixed := e.fixed
+	e.mu.Unlock()
+	return fixed + e.Checker.Evaluator().MemoBytes()
 }
 
-func (e *Entry) setBytes(b int64) {
+func (e *Entry) setFixed(b int64) {
 	e.mu.Lock()
-	e.bytes = b
+	e.fixed = b
 	e.mu.Unlock()
+}
+
+// chargeMemo charges the bytes the entry's memo holds now and returns
+// the change since its last charge.
+func (e *Entry) chargeMemo() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.evicted {
+		return 0
+	}
+	b := e.Checker.Evaluator().MemoBytes()
+	d := b - e.memo
+	e.memo = b
+	return d
+}
+
+// uncharge marks the entry evicted and returns what it was charged.
+func (e *Entry) uncharge() (fixed, memo int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.evicted = true
+	return e.fixed, e.memo
 }
 
 // Hits reports how many cache hits the entry has served.
@@ -342,7 +384,7 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 			BuildDuration: time.Since(start),
 			BuiltAt:       time.Now(),
 		}
-		e.bytes = bytes
+		e.fixed = bytes
 		// Persist before publishing: once a waiter sees the entry, a
 		// restart must be able to serve it from disk.
 		if r.snapDir != "" && source != SourceSnapshot {
@@ -380,12 +422,17 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 		r.builds++
 	}
 	if e != nil {
-		r.insertLocked(e)
+		e.elem = r.lru.PushFront(e)
+		r.entries[e.Digest] = e
+		r.bytes.Add(e.fixed)
 		if source == SourceExtend {
 			r.extends++
 			r.rechargeSeedLocked(seedDigest)
 		}
-		r.updateGaugesLocked()
+		// Evict only for what no trim can free; memos over the budget
+		// are trimmed by the next check request's Settle, so no waiter
+		// of this build waits for other sessions' queries.
+		r.evictLocked(e)
 	}
 	c.entry, c.err = e, err
 	r.mu.Unlock()
@@ -395,8 +442,14 @@ func (r *Registry) build(ctx context.Context, c *call, spec hpl.UniverseSpec, di
 // updateGaugesLocked refreshes the residency gauges after any mutation
 // of the cache's contents or accounting.
 func (r *Registry) updateGaugesLocked() {
-	regBytesGauge.Set(r.bytes)
+	r.updateByteGauges()
 	regUniversesGauge.Set(int64(len(r.entries)))
+}
+
+func (r *Registry) updateByteGauges() {
+	memo := r.memo.Load()
+	regBytesGauge.Set(r.bytes.Load() + memo)
+	memoBytesGauge.Set(memo)
 }
 
 // materialize produces the session for a miss by the cheapest means
@@ -482,10 +535,9 @@ func (r *Registry) rechargeSeedLocked(seedDigest string) {
 	if !ok {
 		return // evicted while the extension ran; its bytes are gone
 	}
-	recharged := EstimateSessionBytes(seed.Checker.Universe())
-	if old := seed.Bytes(); recharged < old {
-		seed.setBytes(recharged)
-		r.bytes -= old - recharged
+	if b := EstimateSessionBytes(seed.Checker.Universe()); b < seed.fixed {
+		r.bytes.Add(b - seed.fixed)
+		seed.setFixed(b)
 	}
 }
 
@@ -571,25 +623,68 @@ func (r *Registry) writeSnapshot(e *Entry) {
 	}
 }
 
-// insertLocked adds the entry and evicts least-recently-used entries
-// until the cache fits the budget again. The new entry itself is never
-// evicted here (its size was checked against the whole budget already).
-func (r *Registry) insertLocked(e *Entry) {
-	e.elem = r.lru.PushFront(e)
-	r.entries[e.Digest] = e
-	r.bytes += e.Bytes()
-	for r.bytes > r.maxBytes && r.lru.Len() > 1 {
-		oldest := r.lru.Back()
-		victim := oldest.Value.(*Entry)
-		if victim == e {
+// Settle charges the growth of e's session memo to the cache and
+// brings the cache back within its budget; the server calls it after
+// answering each check request. Within the budget it takes no lock.
+// Over it, Settle trims sessions' memos, least recently used first,
+// until the cache fits: a trim drops every truth vector but the atoms'
+// and constants', and a later query recomputes what it needs, so no
+// verdict changes. Universes are evicted only while the bytes no trim
+// can free — the fixed estimates and the pinned vectors — exceed the
+// budget, and e never: a universe is not evicted for its own memo.
+func (r *Registry) Settle(e *Entry) {
+	r.memo.Add(e.chargeMemo())
+	if r.bytes.Load()+r.memo.Load() <= r.maxBytes {
+		r.updateByteGauges()
+		return
+	}
+	r.mu.Lock()
+	lru := make([]*Entry, 0, r.lru.Len())
+	for el := r.lru.Back(); el != nil; el = el.Prev() {
+		lru = append(lru, el.Value.(*Entry))
+	}
+	r.mu.Unlock()
+
+	// Trim without the registry lock: TrimMemo waits for the query in
+	// progress on its session, and lookups must not wait with it.
+	for _, v := range lru {
+		if r.bytes.Load()+r.memo.Load() <= r.maxBytes {
 			break
 		}
-		r.lru.Remove(oldest)
+		v.Checker.Evaluator().TrimMemo()
+		r.memo.Add(v.chargeMemo())
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.evictLocked(e)
+}
+
+// evictLocked evicts universes, least recently used first and never
+// keep, while the fixed estimates and pinned memo bytes of the cached
+// universes exceed the budget. A new universe's estimate was checked
+// against the whole budget, so keep fits by itself.
+func (r *Registry) evictLocked(keep *Entry) {
+	floor := r.bytes.Load()
+	for _, v := range r.entries {
+		floor += v.Checker.Evaluator().PinnedBytes()
+	}
+	for el := r.lru.Back(); el != nil && floor > r.maxBytes; {
+		victim := el.Value.(*Entry)
+		el = el.Prev()
+		if victim == keep {
+			continue
+		}
+		r.lru.Remove(victim.elem)
 		delete(r.entries, victim.Digest)
-		r.bytes -= victim.Bytes()
+		fixed, memo := victim.uncharge()
+		r.bytes.Add(-fixed)
+		r.memo.Add(-memo)
+		floor -= fixed + victim.Checker.Evaluator().PinnedBytes()
 		r.evictions++
 		regEvictions.Inc()
 	}
+	r.updateGaugesLocked()
 }
 
 // Cached reports whether the spec's universe is currently resident,
@@ -604,8 +699,9 @@ func (r *Registry) Cached(spec hpl.UniverseSpec) bool {
 
 // Stats is a registry-wide snapshot.
 type Stats struct {
-	// Universes counts resident universes; Bytes their estimated total
-	// footprint against the MaxBytes budget.
+	// Universes counts resident universes; Bytes their total
+	// (structure, tables and memos as they are now, see Entry.Bytes)
+	// against the MaxBytes budget.
 	Universes int   `json:"universes"`
 	Bytes     int64 `json:"bytes"`
 	MaxBytes  int64 `json:"maxBytes"`
@@ -634,9 +730,13 @@ type Stats struct {
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	bytes := r.bytes.Load()
+	for _, e := range r.entries {
+		bytes += e.Checker.Evaluator().MemoBytes()
+	}
 	return Stats{
 		Universes:      len(r.entries),
-		Bytes:          r.bytes,
+		Bytes:          bytes,
 		MaxBytes:       r.maxBytes,
 		Builds:         r.builds,
 		Hits:           r.hits,
@@ -651,11 +751,12 @@ func (r *Registry) Stats() Stats {
 }
 
 // EstimateBytes estimates the resident footprint of a universe and the
-// engine structures a hot session grows over it: per member, the
-// universe's columns, hash-index slot and a share of the partition
-// tables, transition graph and truth vectors. It is an estimate — the
-// cache budget is advisory accounting, not an allocator — but it scales
-// with the real cost driver (members) and errs high.
+// tables a hot session builds over it: per member, the universe's
+// columns, hash-index slot and a share of the partition tables and
+// transition graph. It is an estimate — the cache budget is advisory
+// accounting, not an allocator — but it scales with the real cost
+// driver (members) and errs high. The session's truth vectors are not
+// estimated: Entry.Bytes adds the bytes its memo holds.
 func EstimateBytes(u *hpl.Universe) int64 {
 	return EstimateStructureBytes(u) + EstimateSessionBytes(u)
 }
@@ -687,10 +788,11 @@ func EstimateStructureBytes(u *hpl.Universe) int64 {
 }
 
 // EstimateSessionBytes is the per-session half of EstimateBytes: the
-// partition tables, transition graph and memoized truth vectors a hot
-// session grows per member. An extension seed keeps paying this — its
-// session stays independently queryable — after its structure is
-// re-charged to the extended entry.
+// partition tables and transition graph a hot session grows per
+// member. The memoized truth vectors are charged as they are held
+// (Entry.Bytes), not estimated here. An extension seed keeps paying
+// this — its session stays independently queryable — after its
+// structure is re-charged to the extended entry.
 func EstimateSessionBytes(u *hpl.Universe) int64 {
 	const perMember = 96
 	return int64(u.Len()) * perMember

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,6 +98,12 @@ type StatsResponse struct {
 	Source      string   `json:"source"`
 	BuildMillis float64  `json:"buildMillis"`
 	Atoms       []string `json:"atoms"`
+	// MemoBytes is what the session's memo holds (its share of Bytes),
+	// MemoVectors its resident truth vectors and MemoEvictions the
+	// vectors trimmed from it to keep the cache within its budget.
+	MemoBytes     int64 `json:"memoBytes"`
+	MemoVectors   int   `json:"memoVectors"`
+	MemoEvictions int64 `json:"memoEvictions"`
 }
 
 // HealthResponse is the body of GET /v1/health: liveness, process
@@ -266,6 +273,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	endpoint := endpointLabel(r.URL.Path)
 	httpInflight.Add(1)
@@ -315,11 +325,16 @@ func (s *Server) logJSON(fields map[string]any) {
 // Registry returns the server's universe cache.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. The body's length is
+// declared, so a flushed response is complete before the handler
+// returns.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := json.Marshal(v)
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // writeError maps an error to a structured JSON response: *Error values
@@ -405,6 +420,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, temporal bo
 		writeError(w, err)
 		return
 	}
+	// Settle once the response is out: over budget it trims other
+	// sessions' memos, and this client need not wait for that.
+	defer func() {
+		http.NewResponseController(w).Flush()
+		s.reg.Settle(e)
+	}()
 	resp := CheckResponse{
 		Universe: e.Digest,
 		Members:  e.Checker.Universe().Len(),
@@ -498,6 +519,8 @@ func (s *Server) handleUniverseStats(w http.ResponseWriter, r *http.Request) {
 		BuildMillis: float64(e.BuildDuration) / float64(time.Millisecond),
 		Atoms:       e.Checker.Atoms(),
 	}
+	memo := e.Checker.Evaluator().MemoStats()
+	resp.MemoBytes, resp.MemoVectors, resp.MemoEvictions = memo.Bytes, memo.Vectors, memo.Evictions
 	if u := e.Checker.Universe(); u.IsQuotient() {
 		resp.Symmetry = u.Symmetry().Key()
 		resp.FullMembers = u.FullSize()
