@@ -327,6 +327,32 @@ func snapshotBenchUniverse(b *testing.B) *universe.Universe {
 	return u
 }
 
+// BenchmarkEnumerateCommutation prices the commutation quotient of the
+// BenchmarkEnumerateLarge system — one member per [D]-class, with its
+// merge edges resolved and its linearization counts summed — against
+// the full universe it stands for, at MaxEvents 6 to 8 (the full
+// universe is built at 6 only). The members metric is the class count.
+func BenchmarkEnumerateCommutation(b *testing.B) {
+	cfg := universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 2}
+	for _, me := range []int{6, 7, 8} {
+		b.Run(fmt.Sprintf("events=%d", me), func(b *testing.B) {
+			b.ReportAllocs()
+			var u *universe.Universe
+			for i := 0; i < b.N; i++ {
+				var err error
+				u, err = universe.EnumerateWith(universe.NewFree(cfg),
+					universe.WithMaxEvents(me),
+					universe.WithCommutation())
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(u.Len()), "members")
+			b.ReportMetric(float64(u.FullSize()), "full-members")
+		})
+	}
+}
+
 // BenchmarkSnapshotWriteLarge measures encoding the 107k-member
 // universe (with its transition graph and a partition table resident)
 // to the versioned binary snapshot format.

@@ -123,8 +123,10 @@ func (c *Checker) LocalTo(f Formula, p ProcSet) bool { return c.ev.LocalTo(f, p)
 // ValidateSymmetric checks that f is evaluable over the session's
 // universe: on a symmetry quotient (see WithSymmetry) every atom and
 // every knowledge operator must be invariant under the quotient's
-// group, or an *AsymmetryError describes the first offending part. On
-// a full universe every formula validates. ParseAndCheck and
+// group, or an *AsymmetryError describes the first offending part; on
+// a commutation quotient (see WithCommutation) f must not read the
+// interleaving, or an *InterleavingError does. On a full universe every
+// formula validates. ParseAndCheck and
 // ParseAndCheckTemporal run this automatically; Check and Valid do not
 // (their signatures carry no error) and instead panic from the
 // evaluation core on an asymmetric formula — validate first when the
@@ -146,8 +148,9 @@ type Report struct {
 	FirstFailure int
 	// FullTotal and FullHolding are Total and Holding re-expressed over
 	// the full (unquotiented) universe: on a symmetry quotient each
-	// member is weighted by its orbit size, so the counts compare
-	// directly with a full-universe run. FullHolding is summed per
+	// member is weighted by its orbit size, and on a commutation
+	// quotient by its class's number of interleavings, so the counts
+	// compare directly with a full-universe run. FullHolding is summed per
 	// weight class, one masked popcount of the truth vector per
 	// distinct orbit size (see Evaluator.CountWeighted). On a full
 	// universe they simply repeat Total and Holding.

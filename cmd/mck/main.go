@@ -1,5 +1,5 @@
 // Command mck is an epistemic model checker for small free systems: it
-// enumerates every computation of the system, then evaluates a formula
+// enumerates the computations of the system, then evaluates a formula
 // at each member (or reports validity).
 //
 // Usage:
@@ -29,6 +29,26 @@
 // computation over the prefix-extension transition graph, and the
 // exit status reports the verdict.
 //
+// mck parses the formula before it builds anything, and when the
+// formula cannot tell apart two interleavings of one partial order it
+// enumerates only the commutation quotient: one member per [D]-class
+// (computations that project equally on every process), weighted by
+// the class's number of interleavings. This is sound because the paper
+// requires every predicate to be constant on [D]-classes — every atom
+// here is a count over the computation's events — and K, Sure and C
+// quantify over [P]-classes, which are unions of [D]-classes, while
+// [D]-equivalent computations have the same one-event extensions up to
+// [D], so EX, EU, AU and the operators built from them agree on them
+// too. The counts printed are the full universe's, so the output and
+// the exit status are those of a full check. Past operators (EY, AY,
+// Once, Hist) read the prefixes of one interleaving and are refused
+// on the quotient — except Once over an atom such as "received(q,m)",
+// which only ever turns true and so equals the atom — as are opaque
+// atoms; formulas with them are checked on the full universe. So is
+// the first failure of a -valid formula that is not valid: it is named
+// by its index in the full universe and printed as its own
+// interleaving. -par defaults to the number of CPUs Go may use.
+//
 // -server switches mck into thin-client mode: instead of enumerating
 // locally, the query is forwarded to a running hpld daemon, which keeps
 // the universe hot across invocations — the first query pays the build,
@@ -54,6 +74,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -71,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	procs := fs.String("procs", "p,q", "comma-separated process names")
 	sends := fs.Int("sends", 1, "max sends per process")
 	events := fs.Int("events", 4, "max events per computation")
-	par := fs.Int("par", 1, "enumeration worker count")
+	par := fs.Int("par", runtime.GOMAXPROCS(0), "enumeration worker count")
 	timeout := fs.Duration("timeout", 0, "abort enumeration after this long (0 = no limit)")
 	progress := fs.Bool("progress", false, "report enumeration progress on stderr")
 	traceFlag := fs.Bool("trace", false, "print a per-phase build/eval time breakdown on stderr")
@@ -132,53 +154,66 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// CheckSpec builds the (possibly fault-wrapped) system the spec
-	// describes and seeds the full standard vocabulary — per-process and
-	// any-process atoms, plus crashed/dropped/duplicated atoms when a
-	// fault model is active — exactly as the daemon would for the same
-	// spec.
-	ck, err := hpl.CheckSpec(spec, opts...)
+	// The formula decides which universe to build: the commutation
+	// quotient when it is admissible there, the full universe otherwise.
+	vocab := hpl.NewVocabulary(spec.Predicates()...)
+	f, err := hpl.ParseFormula(fs.Arg(0), vocab)
+	if err != nil {
+		fmt.Fprintf(stderr, "mck: %v\n", err)
+		fmt.Fprintf(stderr, "available atoms: %s\n", atomList(vocab))
+		return 1
+	}
+	quotient := hpl.ValidateCommuting(f) == nil
+	ck, err := check(spec, opts, quotient)
 	if err != nil {
 		fmt.Fprintf(stderr, "mck: %v\n", err)
 		return 1
 	}
 
 	if *temporal {
-		rep, err := ck.ParseAndCheckTemporal(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(stderr, "mck: %v\n", err)
-			fmt.Fprintf(stderr, "available atoms: %s\n", atomList(ck))
-			return 1
-		}
+		rep := ck.CheckTemporal(f)
 		if !rep.AtInit {
 			fmt.Fprintf(stdout, "DOES NOT HOLD at the initial computation (holds at %d / %d members)\n",
-				rep.Holding, rep.Total)
+				rep.FullHolding, rep.FullTotal)
 			return 1
 		}
 		fmt.Fprintf(stdout, "HOLDS at the initial computation (holds at %d / %d members)\n",
-			rep.Holding, rep.Total)
+			rep.FullHolding, rep.FullTotal)
 		return 0
 	}
 
-	rep, err := ck.ParseAndCheck(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "mck: %v\n", err)
-		fmt.Fprintf(stderr, "available atoms: %s\n", atomList(ck))
-		return 1
-	}
-
+	rep := ck.Check(f)
 	if *valid {
+		if !rep.Valid() && quotient {
+			// The first failure is named by its index in the full
+			// universe and its own interleaving, which only the full
+			// universe has.
+			if ck, err = check(spec, opts, false); err != nil {
+				fmt.Fprintf(stderr, "mck: %v\n", err)
+				return 1
+			}
+			rep = ck.Check(f)
+		}
 		if !rep.Valid() {
 			fmt.Fprintf(stdout, "NOT VALID: fails at computation %d:\n%s\n",
 				rep.FirstFailure, indent(ck.Universe().At(rep.FirstFailure).String()))
 			return 1
 		}
-		fmt.Fprintf(stdout, "VALID over %d computations\n", rep.Total)
+		fmt.Fprintf(stdout, "VALID over %d computations\n", rep.FullTotal)
 		return 0
 	}
 	fmt.Fprintf(stdout, "%s\nholds at %d / %d computations\n",
-		hpl.PrintFormula(rep.Formula), rep.Holding, rep.Total)
+		hpl.PrintFormula(rep.Formula), rep.FullHolding, rep.FullTotal)
 	return 0
+}
+
+// check builds the spec's system — possibly fault-wrapped — as the
+// daemon would, as its commutation quotient when quotient is set.
+func check(spec hpl.UniverseSpec, opts []hpl.EnumOption, quotient bool) (*hpl.Checker, error) {
+	if quotient {
+		opts = append(slices.Clip(opts), hpl.WithCommutation())
+	}
+	return hpl.CheckSpec(spec, opts...)
 }
 
 // runRemote forwards one query to an hpld daemon and renders the result
@@ -240,11 +275,12 @@ func runRemote(base string, spec hpl.UniverseSpec, formula string, valid, tempor
 	return 0
 }
 
-func atomList(ck *hpl.Checker) string {
-	names := ck.Atoms()
-	for i, n := range names {
-		names[i] = `"` + n + `"`
+func atomList(vocab hpl.Vocabulary) string {
+	names := make([]string, 0, len(vocab))
+	for n := range vocab {
+		names = append(names, `"`+n+`"`)
 	}
+	slices.Sort(names)
 	return strings.Join(names, ", ")
 }
 

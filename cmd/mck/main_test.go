@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"hpl"
 	"hpl/internal/service"
 )
 
@@ -254,5 +256,108 @@ func TestProgressFlag(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "explored") {
 		t.Errorf("stderr missing progress lines:\n%s", errOut)
+	}
+}
+
+// fullOutput is what mck printed before it checked admissible formulas
+// on the commutation quotient: the verdict on the full universe, with
+// its counts and, for a -valid failure, its first failing member.
+func fullOutput(t *testing.T, spec hpl.UniverseSpec, mode, formula string) (int, string) {
+	t.Helper()
+	ck, err := hpl.CheckSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ck.Parse(formula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch rep := ck.CheckTemporal(f); {
+	case mode == "-temporal" && rep.AtInit:
+		return 0, fmt.Sprintf("HOLDS at the initial computation (holds at %d / %d members)\n", rep.Holding, rep.Total)
+	case mode == "-temporal":
+		return 1, fmt.Sprintf("DOES NOT HOLD at the initial computation (holds at %d / %d members)\n", rep.Holding, rep.Total)
+	case mode == "-valid" && rep.Valid():
+		return 0, fmt.Sprintf("VALID over %d computations\n", rep.Total)
+	case mode == "-valid":
+		return 1, fmt.Sprintf("NOT VALID: fails at computation %d:\n%s\n", rep.FirstFailure, indent(ck.Universe().At(rep.FirstFailure).String()))
+	default:
+		return 0, fmt.Sprintf("%s\nholds at %d / %d computations\n", hpl.PrintFormula(f), rep.Holding, rep.Total)
+	}
+}
+
+// TestQuotientRouteMatchesFullUniverse checks that mck's output and exit
+// status do not depend on the route it takes: admissible formulas,
+// checked on the commutation quotient (valid, not valid — which rebuilds
+// the full universe for its witness — temporal and counted), and
+// refused ones, checked on the full universe, print exactly what a
+// full-universe check prints, reliable and under faults.
+func TestQuotientRouteMatchesFullUniverse(t *testing.T) {
+	formulas := []struct{ mode, text string }{
+		{"-valid", `K{r} K{p} "sent(p,m)" -> K{r} "sent(p,m)"`},
+		{"-valid", `C ("anyReceived(m)" -> "anySent(m)")`},
+		{"-valid", `K{r} "sent(p,m)" | "quiescent"`},
+		{"-valid", `Hist "quiescent"`},
+		{"-temporal", `AG (K{r} "sent(p,m)" -> Once "received(r,m)")`},
+		{"-temporal", `A[!K{r} "sent(p,m)" U ("received(r,m)" | !EF K{r} "sent(p,m)")]`},
+		{"-temporal", `EG !"quiescent"`},
+		{"-temporal", `EF EY "sent(q,m)"`},
+		{"", `K{p,q} "anySent(m)" & AX "quiescent"`},
+	}
+	for _, faults := range []string{"", "crash,drop:1"} {
+		spec := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 1, MaxEvents: 5, Faults: faults}
+		for _, f := range formulas {
+			args := []string{"-procs", "p,q,r", "-events", "5", "-faults", faults}
+			if f.mode != "" {
+				args = append(args, f.mode)
+			}
+			code, out, errOut := runWith(t, append(args, f.text)...)
+			wantCode, want := fullOutput(t, spec, f.mode, f.text)
+			if code != wantCode || out != want {
+				t.Errorf("faults %q, %s %s: exit %d, output\n%s\nwant exit %d, output\n%s\nstderr: %s", faults, f.mode, f.text, code, out, wantCode, want, errOut)
+			}
+		}
+	}
+}
+
+// TestQuotientRouteIsTaken checks, through -progress, which universes
+// mck builds: the quotient alone for an admissible formula, the quotient
+// and then the full universe for an admissible -valid formula that is
+// not valid, and the full universe alone for a refused formula.
+func TestQuotientRouteIsTaken(t *testing.T) {
+	spec := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q"}, MaxSends: 1, MaxEvents: 4}
+	full, err := hpl.CheckSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quo, err := hpl.CheckSpec(spec, hpl.WithCommutation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, n := quo.Universe().Len(), full.Universe().Len()
+	if q >= n || n >= 1024 {
+		t.Fatalf("quotient %d members, full universe %d: the routes must differ in size, with one progress line per build", q, n)
+	}
+	for _, tc := range []struct {
+		args  []string
+		built []int
+	}{
+		{[]string{"-valid", `K{q} "sent(p,m)" -> "sent(p,m)"`}, []int{q}},
+		{[]string{"-temporal", `EF K{q} "sent(p,m)"`}, []int{q}},
+		{[]string{"-valid", `K{q} "sent(p,m)"`}, []int{q, n}},
+		{[]string{"-temporal", `EY "sent(p,m)"`}, []int{n}},
+	} {
+		_, _, errOut := runWith(t, append([]string{"-progress"}, tc.args...)...)
+		var built []int
+		for _, l := range strings.Split(strings.TrimSpace(errOut), "\n") {
+			var k, f int
+			if _, err := fmt.Sscanf(l, "mck: explored %d computations (frontier %d)", &k, &f); err != nil {
+				t.Fatalf("%q: progress line %q: %v", tc.args, l, err)
+			}
+			built = append(built, k)
+		}
+		if fmt.Sprint(built) != fmt.Sprint(tc.built) {
+			t.Errorf("%q: built universes of %v members, want %v", tc.args, built, tc.built)
+		}
 	}
 }

@@ -212,6 +212,28 @@ func WithSymmetry(g *Symmetry) EnumOption { return universe.WithSymmetry(g) }
 // identifies.
 type AsymmetryError = knowledge.AsymmetryError
 
+// --- Commutation quotient ---
+
+// WithCommutation enumerates one member per [D]-class — per partial
+// order of events — instead of every interleaving: the greedy
+// linearization, weighted by its class's number of linearizations, so
+// Report.FullTotal and FullHolding are full-universe counts. Only
+// formulas that cannot tell interleavings apart may be evaluated over
+// it (see ValidateCommuting); the quotient cannot be snapshotted,
+// extended or combined with WithSymmetry.
+func WithCommutation() EnumOption { return universe.WithCommutation() }
+
+// ValidateCommuting checks that f can be answered on a commutation
+// quotient: its atoms are history counts, and it uses no past operator
+// except Once over a monotone atom. It reports an *InterleavingError
+// otherwise.
+func ValidateCommuting(f Formula) error { return knowledge.ValidateCommuting(f) }
+
+// InterleavingError reports a formula rejected on a commutation quotient
+// because some part of it may read the interleaving of concurrent
+// events.
+type InterleavingError = knowledge.InterleavingError
+
 // EnumerateWith exhaustively generates the protocol's computations
 // under the given options.
 func EnumerateWith(p Protocol, opts ...EnumOption) (*Universe, error) {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"hpl/internal/faults"
@@ -374,5 +376,83 @@ func TestEvalAtomPhase(t *testing.T) {
 	}
 	if atoms != 2 {
 		t.Errorf("eval.atom recorded %d times, want 2 (phases: %v)", atoms, tr.Phases())
+	}
+}
+
+// stockSystems are the differential protocols and free p,q,r under each
+// fault model, enumerated full.
+func stockSystems(t *testing.T) []diffUniverse {
+	systems := diffUniverses(t)
+	free3 := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
+	for _, fm := range []string{"crash", "drop:1", "dup:1"} {
+		m, err := faults.Parse(fm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, diffUniverse{"free3/" + fm, universe.MustEnumerateWith(faults.Wrap(free3, m), universe.WithMaxEvents(4))})
+	}
+	return systems
+}
+
+// TestStockAtomsWellFormed checks the model requirement the commutation
+// quotient rests on: every stock atom — sent, received, internal and
+// their any-process closures, quiescent, the event counts, the token
+// atoms, the fault atoms, commit's Voted and Decided and tracker's Bit —
+// is constant on [D]-classes (CheckWellFormed) on every protocol's
+// universe.
+func TestStockAtomsWellFormed(t *testing.T) {
+	for _, s := range stockSystems(t) {
+		t.Run(s.name, func(t *testing.T) {
+			for _, c := range stockCases(s.u, s.u.Protocol()) {
+				if err := knowledge.CheckWellFormed(s.u, c.p); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+}
+
+// TestOnceOverMonotoneAtom checks that Once over every "some event
+// matches" atom interns as the atom itself — the same node, so no new
+// vector — while Once over any other stock atom ("quiescent", the
+// counts, the token atoms) is a node of its own, and that Once's truth
+// vector matches EvalNaive either way.
+func TestOnceOverMonotoneAtom(t *testing.T) {
+	ever := []string{"sent(", "received(", "internal(", "anySent(", "anyReceived(", "anyInternal(",
+		"crashed(", "anyCrashed", "dropped(", "duplicated("}
+	for _, s := range stockSystems(t) {
+		t.Run(s.name, func(t *testing.T) {
+			ev := knowledge.NewEvaluator(s.u)
+			monotone := 0
+			seen := make(map[string]bool)
+			for _, c := range stockCases(s.u, s.u.Protocol()) {
+				if seen[c.p.Name()] {
+					continue // a case repeated under one name interned its Once already
+				}
+				seen[c.p.Name()] = true
+				want := slices.ContainsFunc(ever, func(prefix string) bool { return strings.HasPrefix(c.p.Name(), prefix) })
+				if c.p.Monotone() != want {
+					t.Fatalf("%s: Monotone() = %v", c.p.Name(), c.p.Monotone())
+				}
+				a := knowledge.NewAtom(c.p)
+				ev.Valid(a)
+				_, before := knowledge.MemoSlots(ev)
+				once := ev.TruthVector(knowledge.Once(a))
+				if _, after := knowledge.MemoSlots(ev); (after == before) != want {
+					t.Fatalf("%s: Once interned %d new nodes", c.p.Name(), after-before)
+				}
+				for i, got := range once {
+					if got != knowledge.EvalNaive(s.u, knowledge.Once(a), i) {
+						t.Fatalf("%s: Once at member %d: vectorized %v, naive %v", c.p.Name(), i, got, !got)
+					}
+				}
+				if want {
+					monotone++
+				}
+			}
+			if monotone == 0 {
+				t.Fatal("no monotone atom")
+			}
+		})
 	}
 }

@@ -117,12 +117,13 @@ func (e *Evaluator) Holds(f Formula, x *trace.Computation) (bool, error) {
 // ValidateSymmetric checks that f is evaluable over the evaluator's
 // universe: on a symmetry quotient every atom and every knowledge
 // operator must respect the quotient's group (see the package-level
-// ValidateSymmetric); on a full universe every formula validates. The
-// non-error-returning query paths (HoldsAt, Valid, Summary) enforce the
-// same requirement with a panic from the evaluation core — call this
-// first to turn it into an error.
+// ValidateSymmetric), and on a commutation quotient f must not read the
+// interleaving (see ValidateCommuting); on a full universe every
+// formula validates. The non-error-returning query paths (HoldsAt,
+// Valid, Summary) enforce the same requirement with a panic from the
+// evaluation core — call this first to turn it into an error.
 func (e *Evaluator) ValidateSymmetric(f Formula) error {
-	return ValidateSymmetric(f, e.u.Symmetry())
+	return validateQuotient(f, e.u.Symmetry(), e.u.Commuting())
 }
 
 // MustHolds is Holds for members; it panics when x is not a member.
@@ -271,8 +272,10 @@ func (e *Evaluator) vector(id int32) bitset {
 		l, r := e.vector(nd.l), e.vector(nd.r)
 		v = bitset(temporal.AU(e.u.Transitions(), l, r))
 	case inEY:
+		e.refusePast()
 		v = bitset(temporal.EY(e.u.Transitions(), e.vector(nd.l)))
 	case inOnce:
+		e.refusePast()
 		v = bitset(temporal.Once(e.u.Transitions(), e.vector(nd.l)))
 	default:
 		panic(fmt.Sprintf("knowledge: unknown interned node kind %d", nd.kind))
@@ -290,6 +293,15 @@ func (e *Evaluator) vector(id int32) bitset {
 		e.pinnedWords += int64(len(v))
 	}
 	return v
+}
+
+// refusePast is the backstop for the non-error-returning query paths on
+// a commutation quotient: the past kernels follow the prefix tree, one
+// linearization per class, and would answer for it alone.
+func (e *Evaluator) refusePast() {
+	if e.u.Commuting() {
+		panic(&InterleavingError{Part: "a past operator", Reason: pastReason})
+	}
 }
 
 // MemoStats describes an evaluator's memo.
@@ -378,6 +390,9 @@ func (e *Evaluator) atomVector(p Predicate) bitset {
 			Group:  s.Key(),
 			Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
 		})
+	}
+	if p.count == nil && e.u.Commuting() {
+		panic(&InterleavingError{Part: fmt.Sprintf("predicate %q", p.Name()), Reason: opaqueReason})
 	}
 	defer e.u.Trace().Start("eval.atom").End()
 	n := e.u.Len()

@@ -467,7 +467,12 @@ func (t *interner) internEY(l int32) int32 {
 	return t.node(t.key('Y', l), inode{kind: inEY, l: l})
 }
 
+// internOnce interns Once over node l; Once over a monotone atom is the
+// atom itself, since the member is one of its own prefixes.
 func (t *interner) internOnce(l int32) int32 {
+	if n := &t.nodes[l]; n.kind == inAtom && n.pred.Monotone() {
+		return l
+	}
 	return t.node(t.key('P', l), inode{kind: inOnce, l: l})
 }
 

@@ -55,6 +55,9 @@ type Predicate struct {
 type historyCount struct {
 	weight func(trace.Event) int32
 	test   func(sum int32) bool
+	// monotone records that the count can only turn true along a
+	// computation's prefixes (see Predicate.Monotone).
+	monotone bool
 }
 
 // holds tests the weights' sum over c's events.
@@ -69,13 +72,16 @@ func (h *historyCount) holds(c *trace.Computation) bool {
 // NewCount builds the history-count predicate test(Σ weight), which
 // the evaluator folds down the prefix index for every member at once.
 func NewCount(name string, weight func(trace.Event) int32, test func(sum int32) bool) Predicate {
-	h := &historyCount{weight, test}
+	h := &historyCount{weight: weight, test: test}
 	return Predicate{name: name, fn: h.holds, count: h}
 }
 
-// ever is the history count "some event matches".
+// ever is the history count "some event matches". Its weights are never
+// negative and its test is sum > 0, so it is monotone.
 func ever(name string, match func(trace.Event) bool) Predicate {
-	return NewCount(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
+	p := NewCount(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
+	p.count.monotone = true
+	return p
 }
 
 func indicator(b bool) int32 {
@@ -99,6 +105,13 @@ const (
 func NewPredicate(name string, fn func(*trace.Computation) bool) Predicate {
 	return Predicate{name: name, fn: fn}
 }
+
+// Monotone reports whether the predicate, once true at a computation,
+// is true at every extension of it — so it holds exactly where it held
+// at some prefix, and Once b is b. Every "some event matches" atom of
+// the stock library (sent, received, internal, their any-process
+// closures and the fault atoms) is.
+func (p Predicate) Monotone() bool { return p.count != nil && p.count.monotone }
 
 // Name returns the predicate's unique name.
 func (p Predicate) Name() string { return p.name }

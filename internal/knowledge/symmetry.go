@@ -25,6 +25,27 @@ func (e *AsymmetryError) Error() string {
 	return fmt.Sprintf("knowledge: %s is not symmetric under %s: %s", e.Part, e.Group, e.Reason)
 }
 
+// InterleavingError reports a formula that cannot be evaluated over a
+// commutation quotient (universe.WithCommutation): some part of it may
+// tell apart two interleavings of one partial order, and a quotient
+// member stands for all of them. Such formulas must be checked on the
+// full universe.
+type InterleavingError struct {
+	// Part renders the offending atom or subformula.
+	Part string
+	// Reason explains why the part may read the interleaving.
+	Reason string
+}
+
+func (e *InterleavingError) Error() string {
+	return fmt.Sprintf("knowledge: %s may read the interleaving of concurrent events: %s", e.Part, e.Reason)
+}
+
+const (
+	opaqueReason = "an opaque predicate carries no [D]-invariance guarantee; build it with NewCount or evaluate on the full universe"
+	pastReason   = "past operators read the prefixes of one linearization; evaluate on the full universe"
+)
+
 // ValidateSymmetric checks that f is invariant under s, the
 // precondition for evaluating f over an s-quotient:
 //
@@ -39,38 +60,60 @@ func (e *AsymmetryError) Error() string {
 // A nil or trivial group validates everything. The first offending part
 // is reported as an *AsymmetryError.
 func ValidateSymmetric(f Formula, s *universe.Symmetry) error {
-	if s.Trivial() {
+	return validateQuotient(f, s, false)
+}
+
+// ValidateCommuting checks that f is constant on [D]-classes, the
+// precondition for evaluating f over a commutation quotient. The paper
+// requires it of every predicate, and the operators preserve it:
+//
+//   - every atom must be a history count (NewCount): a sum over the
+//     computation's events cannot see their order;
+//   - K, Sure and C quantify over classes that are unions of [D]-classes,
+//     since [D] ⊆ [P] for every P;
+//   - EX, EU and AU and their duals read the one-event extensions, and
+//     [D]-equivalent computations have the same extensions up to [D]:
+//     whether an event is enabled depends only on its process's state
+//     and the messages in flight, the bound only on length;
+//   - past operators (EY, AY, Once, Hist) read the prefixes of one
+//     linearization, so they are refused — except Once over an atom
+//     that is monotone along prefixes, which is that atom (see
+//     Predicate.Monotone).
+//
+// The first offending part is reported as an *InterleavingError.
+func ValidateCommuting(f Formula) error {
+	return validateQuotient(f, nil, true)
+}
+
+// validateQuotient checks that f is evaluable over a quotient by s (nil
+// for none) and, when commuting, by commutation.
+func validateQuotient(f Formula, s *universe.Symmetry, commuting bool) error {
+	if s.Trivial() && !commuting {
 		return nil
 	}
 	switch f := f.(type) {
 	case ConstF:
 		return nil
 	case Atom:
-		if f.Pred.SymmetricUnder(s) {
-			return nil
+		if !f.Pred.SymmetricUnder(s) {
+			return &AsymmetryError{
+				Part:   fmt.Sprintf("predicate %q", f.Pred.Name()),
+				Group:  s.Key(),
+				Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
+			}
 		}
-		return &AsymmetryError{
-			Part:   fmt.Sprintf("predicate %q", f.Pred.Name()),
-			Group:  s.Key(),
-			Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
+		if commuting && f.Pred.count == nil {
+			return &InterleavingError{Part: fmt.Sprintf("predicate %q", f.Pred.Name()), Reason: opaqueReason}
 		}
+		return nil
 	case NotF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case AndF:
-		if err := ValidateSymmetric(f.L, s); err != nil {
-			return err
-		}
-		return ValidateSymmetric(f.R, s)
+		return validateBoth(f.L, f.R, s, commuting)
 	case OrF:
-		if err := ValidateSymmetric(f.L, s); err != nil {
-			return err
-		}
-		return ValidateSymmetric(f.R, s)
+		return validateBoth(f.L, f.R, s, commuting)
 	case ImpliesF:
-		if err := ValidateSymmetric(f.L, s); err != nil {
-			return err
-		}
-		return ValidateSymmetric(f.R, s)
+		return validateBoth(f.L, f.R, s, commuting)
 	case KnowsF:
 		if !s.Invariant(f.P) {
 			return &AsymmetryError{
@@ -79,7 +122,7 @@ func ValidateSymmetric(f Formula, s *universe.Symmetry) error {
 				Reason: "the process set splits a symmetry class; use a union of whole classes or evaluate on the full universe",
 			}
 		}
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case SureF:
 		if !s.Invariant(f.P) {
 			return &AsymmetryError{
@@ -88,42 +131,56 @@ func ValidateSymmetric(f Formula, s *universe.Symmetry) error {
 				Reason: "the process set splits a symmetry class; use a union of whole classes or evaluate on the full universe",
 			}
 		}
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case CommonF:
 		// Common knowledge quantifies over all processes — a union of
 		// orbits by construction — so only the body needs checking.
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case EXF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case AXF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case EFF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case AFF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case EGF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case AGF:
-		return ValidateSymmetric(f.F, s)
+		return validateQuotient(f.F, s, commuting)
 	case EUF:
-		if err := ValidateSymmetric(f.L, s); err != nil {
-			return err
-		}
-		return ValidateSymmetric(f.R, s)
+		return validateBoth(f.L, f.R, s, commuting)
 	case AUF:
-		if err := ValidateSymmetric(f.L, s); err != nil {
-			return err
-		}
-		return ValidateSymmetric(f.R, s)
-	case EYF:
-		return ValidateSymmetric(f.F, s)
-	case AYF:
-		return ValidateSymmetric(f.F, s)
+		return validateBoth(f.L, f.R, s, commuting)
 	case OnceF:
-		return ValidateSymmetric(f.F, s)
+		if a, ok := f.F.(Atom); ok && a.Pred.Monotone() {
+			return validateQuotient(a, s, commuting) // Once a interns as a
+		}
+		return validatePast(f, f.F, s, commuting)
+	case EYF:
+		return validatePast(f, f.F, s, commuting)
+	case AYF:
+		return validatePast(f, f.F, s, commuting)
 	case HistF:
-		return ValidateSymmetric(f.F, s)
+		return validatePast(f, f.F, s, commuting)
 	default:
 		return fmt.Errorf("knowledge: unknown formula type %T", f)
 	}
+}
+
+// validateBoth validates the two operands of a binary operator.
+func validateBoth(l, r Formula, s *universe.Symmetry, commuting bool) error {
+	if err := validateQuotient(l, s, commuting); err != nil {
+		return err
+	}
+	return validateQuotient(r, s, commuting)
+}
+
+// validatePast validates the past operator op over body: refused on a
+// commutation quotient, and as invariant as its body under symmetry.
+func validatePast(op, body Formula, s *universe.Symmetry, commuting bool) error {
+	if commuting {
+		return &InterleavingError{Part: fmt.Sprintf("past operator %s", op), Reason: pastReason}
+	}
+	return validateQuotient(body, s, commuting)
 }

@@ -114,17 +114,17 @@ type Evaluator struct {
 	rel *relation
 }
 
-// NewEvaluator builds a state-based evaluator. It panics on a symmetry
-// quotient: abstract states are taken member by member, so they cannot
-// be read through the orbits a quotient member stands for; evaluate on
-// the full universe instead.
+// NewEvaluator builds a state-based evaluator. It panics on a quotient,
+// by symmetry or by commutation: abstract states are taken member by
+// member, so they cannot be read through the computations a quotient
+// member stands for; evaluate on the full universe instead.
 func NewEvaluator(u *universe.Universe, abs Abstraction) *Evaluator {
 	return newEvaluator(u, abs, false)
 }
 
 func newEvaluator(u *universe.Universe, abs Abstraction, timed bool) *Evaluator {
 	if u.IsQuotient() {
-		panic(fmt.Sprintf("stateiso: abstraction %s over a symmetry quotient: abstract states do not follow renaming orbits; evaluate on the full universe", abs.Name()))
+		panic(fmt.Sprintf("stateiso: abstraction %s over a quotient: abstract states are read member by member, not through the computations a member stands for; evaluate on the full universe", abs.Name()))
 	}
 	rel := newRelation(u, abs, timed)
 	return &Evaluator{Evaluator: knowledge.NewRelationEvaluator(u, rel), abs: abs, rel: rel}

@@ -486,18 +486,14 @@ func TestStateKnowledgeMatchesDefinition(t *testing.T) {
 }
 
 // TestEvaluatorRefusesQuotient: abstract states are taken member by
-// member, so they cannot be read through the orbits a quotient member
-// stands for. Free p, q, r under the symmetry {q, r} is a quotient on
-// which the computation evaluator's orbit-weighted counts still equal
-// the full universe's, and the state evaluator must refuse it rather
-// than answer differently.
+// member, so they cannot be read through the computations a quotient
+// member stands for. Free p, q, r under the symmetry {q, r}, and its
+// commutation quotient, are quotients on which the computation
+// evaluator's weighted counts still equal the full universe's, and the
+// state evaluator must refuse both rather than answer differently.
 func TestEvaluatorRefusesQuotient(t *testing.T) {
 	free3 := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q", "r"}, MaxSends: 1})
 	sym, err := universe.NewSymmetry([]trace.ProcID{"q", "r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quo, err := universe.EnumerateWith(free3, universe.WithMaxEvents(4), universe.WithSymmetry(sym))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,27 +501,36 @@ func TestEvaluatorRefusesQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []knowledge.Formula{
-		knowledge.Knows(ps("p"), knowledge.Knows(ps("q", "r"), knowledge.NewAtom(knowledge.AnySentTag("m")))),
-		knowledge.Knows(ps("q", "r"), knowledge.NewAtom(knowledge.SentTag("p", "m"))),
+	for kind, opt := range map[string]universe.Option{
+		"symmetry":    universe.WithSymmetry(sym),
+		"commutation": universe.WithCommutation(),
 	} {
-		want, _ := knowledge.NewEvaluator(full).Summary(f)
-		if got := knowledge.NewEvaluator(quo).CountWeighted(f); got != int64(want) {
-			t.Fatalf("%s: quotient counts %d, full universe %d", f, got, want)
+		quo, err := universe.EnumerateWith(free3, universe.WithMaxEvents(4), opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for name, build := range map[string]func(){
-		"untimed": func() { NewEvaluator(quo, FullHistory()) },
-		"timed":   func() { NewTimedEvaluator(quo, Counters()) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "quotient") {
-					t.Errorf("%s evaluator over a quotient: recovered %v, want a refusal", name, r)
-				}
+		for _, f := range []knowledge.Formula{
+			knowledge.Knows(ps("p"), knowledge.Knows(ps("q", "r"), knowledge.NewAtom(knowledge.AnySentTag("m")))),
+			knowledge.Knows(ps("q", "r"), knowledge.NewAtom(knowledge.SentTag("p", "m"))),
+		} {
+			want, _ := knowledge.NewEvaluator(full).Summary(f)
+			if got := knowledge.NewEvaluator(quo).CountWeighted(f); got != int64(want) {
+				t.Fatalf("%s: %s: quotient counts %d, full universe %d", kind, f, got, want)
+			}
+		}
+		for name, build := range map[string]func(){
+			"untimed": func() { NewEvaluator(quo, FullHistory()) },
+			"timed":   func() { NewTimedEvaluator(quo, Counters()) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "quotient") {
+						t.Errorf("%s evaluator over a %s quotient: recovered %v, want a refusal", name, kind, r)
+					}
+				}()
+				build()
 			}()
-			build()
-		}()
+		}
 	}
 	NewEvaluator(full, FullHistory()) // the full universe is accepted
 }

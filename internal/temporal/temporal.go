@@ -23,6 +23,14 @@
 // order is not its level order (a hand-built one), the vectors are
 // permuted into order positions on the way in and back on the way out.
 //
+// On a commutation quotient (universe.WithCommutation) a member stands
+// for a [D]-class, and the future operators read its successor lists
+// (universe.Transitions.Successors) instead of child ranges: each of EX,
+// EU and AU branches once, on entry. Successors sit one level further
+// down, so the member order is still a topological order and EU and AU
+// remain single descending sweeps. The past operators are not answered
+// there: they follow one linearization's prefixes.
+//
 // Path semantics are finite: a path is a maximal chain of one-event
 // extensions inside the enumerated universe, so a member with no
 // successor (a computation at the event bound) ends its paths. At such
@@ -146,6 +154,15 @@ func fill(v []uint64, lo, hi int32) {
 // members with no extension.
 func EX(t *universe.Transitions, f []uint64) []uint64 {
 	kernEX.Inc()
+	if off, succ := t.Successors(); off != nil {
+		out := words(t)
+		for k := range int32(len(off) - 1) {
+			if anyOf(f, succ[off[k]:off[k+1]]) {
+				set(out, k)
+			}
+		}
+		return out
+	}
 	f = toPositions(t, f)
 	out := words(t)
 	for k, r := range t.ChildRanges() {
@@ -179,6 +196,26 @@ func EY(t *universe.Transitions, f []uint64) []uint64 {
 func AY(t *universe.Transitions, f []uint64) []uint64 {
 	kernAY.Inc()
 	return not(t, EY(t, not(t, f)))
+}
+
+// anyOf reports whether v has some bit of ks set.
+func anyOf(v []uint64, ks []int32) bool {
+	for _, k := range ks {
+		if get(v, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// allOf reports whether v has every bit of ks set.
+func allOf(v []uint64, ks []int32) bool {
+	for _, k := range ks {
+		if !get(v, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // forEachUp calls visit at every position below inner whose bit is set
@@ -221,6 +258,15 @@ func forEachDown(f, out []uint64, inner int32, visit func(k int32)) {
 // visited first). A leaf's value is g's.
 func EU(t *universe.Transitions, f, g []uint64) []uint64 {
 	kernEU.Inc()
+	if off, succ := t.Successors(); off != nil {
+		out := slices.Clone(g)
+		forEachDown(f, out, int32(len(off)-1), func(k int32) {
+			if anyOf(out, succ[off[k]:off[k+1]]) {
+				set(out, k)
+			}
+		})
+		return out
+	}
 	f = toPositions(t, f)
 	out := slices.Clone(toPositions(t, g))
 	kids := t.ChildRanges()
@@ -237,6 +283,15 @@ func EU(t *universe.Transitions, f, g []uint64) []uint64 {
 // Z = g ∨ (f ∧ EX true ∧ AX Z). At a leaf A[f U g] reduces to g.
 func AU(t *universe.Transitions, f, g []uint64) []uint64 {
 	kernAU.Inc()
+	if off, succ := t.Successors(); off != nil {
+		out := slices.Clone(g)
+		forEachDown(f, out, int32(len(off)-1), func(k int32) {
+			if s := succ[off[k]:off[k+1]]; len(s) > 0 && allOf(out, s) {
+				set(out, k)
+			}
+		})
+		return out
+	}
 	f = toPositions(t, f)
 	out := slices.Clone(toPositions(t, g))
 	kids := t.ChildRanges()

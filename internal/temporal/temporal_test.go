@@ -16,8 +16,8 @@ import (
 func universes(t testing.TB) map[string]*universe.Universe {
 	t.Helper()
 	out := make(map[string]*universe.Universe)
-	add := func(name string, p universe.Protocol, maxEvents int) {
-		u, err := universe.EnumerateWith(p, universe.WithMaxEvents(maxEvents))
+	add := func(name string, p universe.Protocol, maxEvents int, opts ...universe.Option) {
+		u, err := universe.EnumerateWith(p, append(opts, universe.WithMaxEvents(maxEvents))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,10 +29,14 @@ func universes(t testing.TB) map[string]*universe.Universe {
 	}), 4)
 	add("tokenbus", tokenbus.MustNew("p", "q", "r"), 5)
 	add("ackchain", ackchain.MustNew("p", "q", 2), 4)
-	add("free3", universe.NewFree(universe.FreeConfig{
+	free3 := universe.NewFree(universe.FreeConfig{
 		Procs:    []trace.ProcID{"p", "q", "r"},
 		MaxSends: 1,
-	}), 5)
+	})
+	add("free3", free3, 5)
+	// A commutation quotient: the future kernels read its successor
+	// lists, a DAG, instead of child ranges.
+	add("free3-commutation", free3, 5, universe.WithCommutation())
 	out["handbuilt"] = handBuilt(t)
 	return out
 }
@@ -114,7 +118,8 @@ func pred(v []uint64) func(int) bool { return func(i int) bool { return getBit(v
 // TestKernelsMatchNaive pins every vectorized kernel to the per-member
 // graph walker on randomized truth vectors over several protocol
 // universes and the hand-built one, whose member order is not the
-// level order and whose child ranges include one wider than a word.
+// level order and whose child ranges include one wider than a word, and
+// a commutation quotient, whose successors form a DAG.
 // On the small universes it also tries every one-bit vector and every
 // all-but-one vector, so each bit of each child range, the wide one
 // included, is once the only true and once the only false member.

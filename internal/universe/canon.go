@@ -108,5 +108,10 @@ func (e *engine) universe(all trace.ProcSet, seed *seedState) (*Universe, error)
 			return nil, err
 		}
 	}
+	if e.cfg.commute {
+		if err := u.setCommutation(e.dagSrc, e.dagDst); err != nil {
+			return nil, err
+		}
+	}
 	return u, nil
 }

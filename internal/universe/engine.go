@@ -45,13 +45,16 @@ import (
 //     moreover in distinct orbits: if σ maps member x to member y, it
 //     fixes their longest common prefix c, so σ is in c's stabilizer
 //     and maps x's child of c to y's — two siblings in one stabilizer
-//     orbit, of which symCanonical keeps only one. An extension
-//     (Extend) starts from a copy of the base's columns and expands its
-//     last level, so it appends exactly the levels a from-scratch build
-//     of the larger bound would. What remains is the ~2^-128
-//     assumption that distinct members of one length hash apart:
-//     siblings are checked where they are sorted (sortSiblings), the
-//     rest where the hash index is built (ErrHashCollision).
+//     orbit, of which symCanonical keeps only one. Under
+//     WithCommutation the engine keeps only greedy linearizations and
+//     records every other child as a merge edge to its class (see
+//     commute.go). An extension (Extend) starts from a copy of the
+//     base's columns and expands its last level, so it appends exactly
+//     the levels a from-scratch build of the larger bound would. What
+//     remains is the ~2^-128 assumption that distinct members of one
+//     length hash apart: siblings are checked where they are sorted
+//     (sortSiblings), the rest where the hash index is built
+//     (ErrHashCollision).
 //   - Protocol transitions (Steps/AfterStep/Deliver) are cached per
 //     worker keyed by interned state-vector identifiers: a Protocol is
 //     one finite state machine per process, so its transition functions
@@ -78,12 +81,13 @@ type record struct {
 	par, ev, sv int32
 }
 
-// engineEvent is an entry of the engine's shared event table: the event
-// and the indexes of its process and peer (-1 when it has none), which
-// the chain walk needs.
+// engineEvent is an entry of the engine's shared event table: the event,
+// the indexes of its process and peer (-1 when it has none), which the
+// chain walk needs, and its class key (see eventKey).
 type engineEvent struct {
 	trace.Event
 	proc, peer int32
+	key        trace.Hash128
 }
 
 // eventLog interns events for all workers. Interning takes the lock,
@@ -112,7 +116,7 @@ func (l *eventLog) intern(ev *trace.Event, proc, peer int32) int32 {
 	defer l.mu.Unlock()
 	id := l.tab.intern(ev)
 	if t := l.table(); int(id) == len(t) {
-		t = append(t, engineEvent{Event: *ev, proc: proc, peer: peer})
+		t = append(t, engineEvent{Event: *ev, proc: proc, peer: peer, key: eventKey(ev)})
 		l.pub.Store(&t)
 	}
 	return id
@@ -153,6 +157,14 @@ type engine struct {
 	mask   []uint64
 	events eventLog
 
+	// Under WithCommutation, ckey is each member's class key (see
+	// classKey), merges[r] holds the merge edges of range r of the level
+	// being expanded, and dagSrc/dagDst the resolved merge edges so far,
+	// in source order. See commute.go.
+	ckey           []trace.Hash128
+	merges         [][]mergeEdge
+	dagSrc, dagDst []int32
+
 	// emitted counts the members (the cap and progress read it) and
 	// expanded the members whose children have been emitted.
 	emitted  atomic.Int64
@@ -179,9 +191,11 @@ type engine struct {
 type worker struct {
 	e *engine
 
-	// out collects the children of the range being expanded; it keeps
-	// its capacity from range to range.
-	out []record
+	// out collects the children of the range being expanded, and merges
+	// its merge edges under WithCommutation; both keep their capacity
+	// from range to range.
+	out    []record
+	merges []mergeEdge
 
 	// local caches the shared event table: glob[id] is the shared
 	// identifier of the event local interned as id.
@@ -274,6 +288,9 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.commute && grp != nil {
+		return nil, fmt.Errorf("%w: it cannot be combined with a symmetry quotient", ErrCommutationQuotient)
+	}
 	if grp != nil {
 		// The root (empty computation) must be stabilized by the whole
 		// group, which reduces to equal initial states within each class.
@@ -360,6 +377,9 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 		if grp != nil {
 			e.mask = []uint64{0}
 		}
+		if cfg.commute {
+			e.ckey = []trace.Hash128{{}}
+		}
 	}
 	e.emitted.Store(int64(len(e.hash)))
 	e.expanded.Store(int64(lo))
@@ -382,6 +402,9 @@ func enumerate(p Protocol, cfg config, seed *seedState) (*Universe, error) {
 	expandSp := cfg.trace.Start("enumerate.expand")
 	for hi := len(e.hash); lo < hi && int(e.length[lo]) < cfg.maxEvents; lo, hi = hi, len(e.hash) {
 		e.appendLevel(e.expandLevel(workers, int32(lo), int32(hi)))
+		if e.err == nil && cfg.commute {
+			e.resolve(hi)
+		}
 		if e.err != nil {
 			break
 		}
@@ -479,6 +502,9 @@ const rangesPerWorker = 8
 func (e *engine) expandLevel(workers []*worker, lo, hi int32) [][]record {
 	size := max(64, (hi-lo)/int32(len(workers)*rangesPerWorker))
 	bufs := make([][]record, (hi-lo+size-1)/size)
+	if e.cfg.commute {
+		e.merges = make([][]mergeEdge, len(bufs))
+	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	for _, w := range workers[:min(len(workers), len(bufs))] {
@@ -488,11 +514,14 @@ func (e *engine) expandLevel(workers []*worker, lo, hi int32) [][]record {
 			w.events = e.events.table()
 			for r := next.Add(1) - 1; int(r) < len(bufs) && !e.failed.Load(); r = next.Add(1) - 1 {
 				a := lo + r*size
-				w.out = w.out[:0]
+				w.out, w.merges = w.out[:0], w.merges[:0]
 				if err := w.expandRange(a, min(a+size, hi)); err != nil {
 					e.fail(err)
 				}
 				bufs[r] = append(make([]record, 0, len(w.out)), w.out...)
+				if e.cfg.commute {
+					e.merges[r] = slices.Clone(w.merges)
+				}
 			}
 			if w.symChecks > 0 {
 				e.symCheckN.Add(w.symChecks)
@@ -522,6 +551,11 @@ func (e *engine) appendLevel(bufs [][]record) {
 	if e.grp != nil {
 		e.mask = grow(e.mask, k)
 	}
+	var evs []engineEvent
+	if e.cfg.commute {
+		e.ckey = grow(e.ckey, k)
+		evs = e.events.table()
+	}
 	for r, b := range bufs {
 		for i := range b {
 			c := &b[i]
@@ -532,6 +566,9 @@ func (e *engine) appendLevel(bufs [][]record) {
 			e.sv = append(e.sv, c.sv)
 			if e.grp != nil {
 				e.mask = append(e.mask, e.childMask(c.par, c.ev))
+			}
+			if evs != nil {
+				e.ckey = append(e.ckey, classKey(e.ckey[c.par], evs[c.ev].key))
 			}
 		}
 		bufs[r] = nil
@@ -607,6 +644,10 @@ func (w *worker) expand(j int32) error {
 			Peer: send.Proc,
 			Tag:  send.Tag,
 		}
+		if e.cfg.commute && !w.greedy(j, dst, id) {
+			w.merge(j, &ev)
+			continue
+		}
 		// Receive children need no canonicity check: the message's sender
 		// and addressee both already appear in the parent's support (the
 		// send event carries them as Proc and Peer), so every stabilizer
@@ -632,6 +673,10 @@ func (w *worker) expand(j int32) error {
 				qi = e.procIdx[a.To]
 				ev.Msg = e.msgID(int32(pi), w.nextMsg[pi])
 				ev.Peer = a.To
+			}
+			if e.cfg.commute && !w.greedy(j, int32(pi), -1) {
+				w.merge(j, &ev)
+				continue
 			}
 			if e.grp != nil {
 				w.symChecks++

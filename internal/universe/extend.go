@@ -30,10 +30,16 @@ var ErrCannotExtend = errors.New("universe: cannot extend")
 // including the members of u, and WithParallelism sizes the pool for
 // the new frontier only. u itself is never mutated, beyond growing the
 // shared state-vector table.
+//
+// A commutation quotient cannot be extended, nor a full universe into
+// one: both fail with ErrCannotExtend wrapping ErrCommutationQuotient.
 func Extend(u *Universe, opts ...Option) (*Universe, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.commute || u.Commuting() {
+		return nil, fmt.Errorf("%w: %w", ErrCannotExtend, ErrCommutationQuotient)
 	}
 	// Symmetry must agree between the seed and the extension: the seed's
 	// members are orbit representatives only under its own group, so

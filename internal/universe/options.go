@@ -37,6 +37,8 @@ type config struct {
 	// sym quotients the enumeration by a process-symmetry group; nil
 	// (or a trivial group) enumerates the full universe.
 	sym *Symmetry
+	// commute keeps one member per [D]-class (WithCommutation).
+	commute bool
 	// trace accumulates per-phase build timings (WithTrace); nil —
 	// the common case — records nothing, and the engine's global
 	// phase metrics are fed either way.
@@ -125,6 +127,24 @@ func WithSymmetry(g *Symmetry) Option {
 		}
 		c.sym = g
 	}
+}
+
+// WithCommutation enumerates the commutation quotient: one member per
+// [D]-class, that is per partial order of events, instead of every
+// interleaving of it. The member kept is the class's greedy
+// linearization, which always places the available event of the
+// lowest-indexed process (in Procs order); greedy linearizations are
+// closed under prefixes, so the members still form a prefix tree in
+// level order. Each member's weight (Universe.OrbitSize) is its class's
+// number of linearizations, so weighted counts and FullSize are those
+// of the full universe, and its Transitions list every class one event
+// extends it to (Transitions.Successors). Only formulas that cannot
+// tell [D]-equivalent computations apart may be evaluated over it; see
+// knowledge.ValidateCommuting. The quotient cannot be extended,
+// snapshotted or combined with WithSymmetry: each fails with
+// ErrCommutationQuotient.
+func WithCommutation() Option {
+	return func(c *config) { c.commute = true }
 }
 
 // WithTrace attaches a trace that accumulates the enumeration's

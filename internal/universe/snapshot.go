@@ -96,7 +96,13 @@ var snapshotCRC = crc64.MakeTable(crc64.ECMA)
 // hand-built universes do not carry. Partition tables are included
 // exactly when already built; the output is byte-deterministic for a
 // given universe and set of built tables.
+//
+// A commutation quotient has no snapshot form: WriteSnapshot fails with
+// ErrCommutationQuotient.
 func WriteSnapshot(w io.Writer, u *Universe, digest string) error {
+	if u.Commuting() {
+		return fmt.Errorf("%w: it has no snapshot form", ErrCommutationQuotient)
+	}
 	if u.maxEvents < 0 || u.states == nil || len(u.memberSV) != u.Len() || !u.sorted {
 		return fmt.Errorf("universe: snapshot requires an enumerated universe")
 	}

@@ -25,6 +25,12 @@ import "hpl/internal/trace"
 // Universe.Transitions, which constructs the graph once from the
 // universe's prefix index and shares it, alongside the Partition
 // tables, between every evaluator over the universe.
+//
+// On a commutation quotient (WithCommutation) a member stands for a
+// [D]-class, and one event may extend it to a class whose representative
+// is not its child in the prefix tree. There the graph is a DAG: Succ,
+// HasSucc and NumEdges read its successor lists (Successors), while
+// Parent, Label and ChildRanges still describe the prefix tree alone.
 type Transitions struct {
 	// parent[j] is the member index of j's one-event-shorter prefix, or
 	// -1 when that prefix is not a member of the universe.
@@ -46,6 +52,9 @@ type Transitions struct {
 	// past the last position whose range is non-empty.
 	kids  [][2]int32
 	edges int
+	// succOff and succ are a commutation quotient's successor lists; nil
+	// on other universes.
+	succOff, succ []int32
 	// procs indexes the edge labels.
 	procs []trace.ProcID
 }
@@ -83,9 +92,13 @@ func (t *Transitions) span(i int) [2]int32 {
 
 // Succ returns the member indexes reached from i by one extension
 // event, in the universe's sibling (hash) order — ascending, on
-// level-ordered universes. The slice aliases the graph and MUST be
-// treated as read-only.
+// level-ordered universes; on a commutation quotient, i's children come
+// first and then the other classes it extends to. The slice aliases the
+// graph and MUST be treated as read-only.
 func (t *Transitions) Succ(i int) []int32 {
+	if t.succOff != nil {
+		return t.succ[t.succOff[i]:t.succOff[i+1]]
+	}
 	r := t.span(i)
 	return t.order[r[0]:r[1]]
 }
@@ -93,6 +106,9 @@ func (t *Transitions) Succ(i int) []int32 {
 // HasSucc reports whether i has at least one extension in the universe
 // (false exactly at the maximal computations of the event bound).
 func (t *Transitions) HasSucc(i int) bool {
+	if t.succOff != nil {
+		return t.succOff[i] < t.succOff[i+1]
+	}
 	r := t.span(i)
 	return r[0] < r[1]
 }
@@ -114,6 +130,13 @@ func (t *Transitions) Permuted() bool { return t.pos != nil }
 // every position from it on is a leaf. The slice aliases the graph and
 // MUST be treated as read-only.
 func (t *Transitions) ChildRanges() [][2]int32 { return t.kids }
+
+// Successors returns a commutation quotient's successor lists: member
+// i's successors are succ[off[i]:off[i+1]], all of them at the next
+// level, so member order is a topological order. Both slices are nil on
+// other universes, whose successors are ChildRanges. They alias the
+// graph and MUST be treated as read-only.
+func (t *Transitions) Successors() (off, succ []int32) { return t.succOff, t.succ }
 
 // NewTransitions builds the prefix-extension graph of the universe
 // without consulting or populating the universe's cache. Prefer
@@ -178,6 +201,9 @@ func NewTransitions(u *Universe) *Transitions {
 		t.edges++
 	}
 	t.kids = t.kids[:inner]
+	if u.succOff != nil {
+		t.succOff, t.succ, t.edges = u.succOff, u.succ, len(u.succ)
+	}
 	return t
 }
 

@@ -295,3 +295,49 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("digest changed across JSON round trip")
 	}
 }
+
+// TestCheckSpecCommutation drives the commutation quotient through the
+// facade: a session built with WithCommutation reports full-universe
+// counts for an admissible formula, refuses a past operator with an
+// *InterleavingError (as ValidateCommuting does), and the spec itself
+// has no way to ask for the quotient — hpld never builds one.
+func TestCheckSpecCommutation(t *testing.T) {
+	spec := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 1, MaxEvents: 5}
+	full, err := hpl.CheckSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quo, err := hpl.CheckSpec(spec, hpl.WithCommutation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !quo.Universe().Commuting() || quo.Universe().FullSize() != int64(full.Universe().Len()) {
+		t.Fatalf("quotient of %d members stands for %d computations, full universe has %d", quo.Universe().Len(), quo.Universe().FullSize(), full.Universe().Len())
+	}
+	const admissible = `K{r} "sent(p,m)" | AG "quiescent" | Once "received(q,m)"`
+	qrep, err := quo.ParseAndCheck(admissible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frep, err := full.ParseAndCheck(admissible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qrep.FullHolding != frep.FullHolding || qrep.FullTotal != frep.FullTotal || qrep.Valid() != frep.Valid() {
+		t.Fatalf("verdicts diverge: quotient %+v, full %+v", qrep, frep)
+	}
+	var ie *hpl.InterleavingError
+	if _, err := quo.ParseAndCheckTemporal(`EF EY "sent(p,m)"`); !errors.As(err, &ie) {
+		t.Fatalf("past operator on the quotient must fail with *InterleavingError, got %v", err)
+	}
+	f, err := full.Parse(`Hist "quiescent"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hpl.ValidateCommuting(f); !errors.As(err, &ie) {
+		t.Fatalf("ValidateCommuting(%s) = %v, want *InterleavingError", hpl.PrintFormula(f), err)
+	}
+	if err := (hpl.UniverseSpec{Procs: spec.Procs, Symmetry: "commutation"}).Validate(); err == nil {
+		t.Fatal("a spec asking for a commutation quotient must be refused")
+	}
+}
