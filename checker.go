@@ -19,9 +19,9 @@ import (
 //	rep, err := ck.ParseAndCheck(`K{q} "sent(p,m)" -> "sent(p,m)"`)
 //	fmt.Println(rep.Valid())
 //
-// A Checker is safe for concurrent use: the evaluator serializes
-// queries internally and evaluates each distinct subformula once while
-// its truth vector is resident, so reusing one session across many
+// A Checker is safe for concurrent use: concurrent queries evaluate in
+// parallel, and the evaluator computes each distinct subformula once
+// while its truth vector is resident, so reusing one session across many
 // queries — from one goroutine or many — is much cheaper than
 // re-creating it. The memo is never trimmed unless its owner asks
 // (Evaluator.TrimMemo, as hpld's cache does). (Define is
@@ -168,6 +168,10 @@ func (r Report) Valid() bool { return r.FirstFailure < 0 }
 // panics with an *AsymmetryError otherwise — see ValidateSymmetric).
 func (c *Checker) Check(f Formula) Report {
 	holding, firstFailure, fullHolding := c.ev.WeightedSummary(f)
+	return c.report(f, holding, firstFailure, fullHolding)
+}
+
+func (c *Checker) report(f Formula, holding, firstFailure int, fullHolding int64) Report {
 	return Report{
 		Formula:      f,
 		Total:        c.u.Len(),
@@ -206,11 +210,9 @@ type TemporalReport struct {
 // supports reachability (EF), inevitability (AF/AU) and past-looking
 // (Once/Hist) queries that validity alone cannot express.
 func (c *Checker) CheckTemporal(f Formula) TemporalReport {
-	rep := TemporalReport{Report: c.Check(f), Init: c.u.Initial()}
-	if rep.Init >= 0 {
-		rep.AtInit = c.ev.HoldsAt(f, rep.Init)
-	}
-	return rep
+	init := c.u.Initial()
+	holding, firstFailure, fullHolding, atInit := c.ev.WeightedSummaryAt(f, init)
+	return TemporalReport{Report: c.report(f, holding, firstFailure, fullHolding), Init: init, AtInit: atInit}
 }
 
 // ParseAndCheckTemporal parses the textual formula against the session

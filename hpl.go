@@ -81,7 +81,6 @@ type (
 const (
 	KindInternal = trace.KindInternal
 	KindSend     = trace.KindSend
-	KindReceive  = trace.KindReceive
 )
 
 // NewProcSet builds a process set.

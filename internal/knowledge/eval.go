@@ -2,11 +2,9 @@ package knowledge
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"hpl/internal/temporal"
 	"hpl/internal/trace"
@@ -43,32 +41,51 @@ import (
 // state-based isomorphism of §6 (package stateiso); every other
 // operator is the same under either.
 //
-// An Evaluator is safe for concurrent use: queries serialize on an
-// internal lock, and the partition tables they share are built
-// goroutine-safely by the relation. It serves every query; the one
-// per-member path left is EvalNaive, the paper's definitions evaluated
-// directly, which the differential tests use as the oracle and the
-// benchmarks BenchmarkAblationVectorizedEval and
-// BenchmarkAblationKnowledgeMemo at the repository root as the
-// baseline.
+// An Evaluator is safe for concurrent use, and concurrent queries
+// evaluate in parallel. Only interning a formula takes a lock, briefly;
+// each node's vector is computed and read without it. When several
+// queries miss on one node, the first computes its vector and the others
+// wait for it, so no vector is computed twice in one memo generation.
+// The partition tables queries share are built goroutine-safely by the
+// relation. The evaluator serves every query; the one per-member path
+// left is EvalNaive, the paper's definitions evaluated directly, which
+// the differential tests use as the oracle and the benchmarks
+// BenchmarkAblationVectorizedEval and BenchmarkAblationKnowledgeMemo at
+// the repository root as the baseline.
 type Evaluator struct {
 	u   *universe.Universe
 	rel Relation
 
-	mu sync.Mutex
+	// memo is the current generation; TrimMemo replaces it under trimMu.
+	memo      atomic.Pointer[memo]
+	trimMu    sync.Mutex
+	evictions atomic.Int64
+}
+
+// memo is one generation of an evaluator's memo: the interner, whose
+// slots hold the truth vectors, and what they weigh. An evaluation
+// publishes into the generation it interned in, even when TrimMemo has
+// installed a newer one meanwhile.
+type memo struct {
+	mu sync.Mutex // held while interning, never while computing a vector
 	in *interner
-	// vecs[id] is the truth vector of interned node id: nil until the
-	// node is first evaluated, and again once TrimMemo evicts it.
-	vecs []bitset
-	// words counts the words of all resident vectors and pinnedWords
+	// words counts the words of the resident vectors and pinnedWords
 	// those of atoms and constants; resident counts the vectors.
-	words, pinnedWords int64
-	resident           int
-	evictions          int64
-	// bytes and pinned are MemoBytes and PinnedBytes, published after
-	// every query and trim so that a cache can read them without
-	// waiting for the lock.
-	bytes, pinned atomic.Int64
+	words, pinnedWords, resident atomic.Int64
+}
+
+// intern returns f's node ID, interning every subformula.
+func (m *memo) intern(f Formula) int32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.in.intern(f)
+}
+
+// bytes is MemoBytes for this generation.
+func (m *memo) bytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return 8*m.words.Load() + m.in.bytes()
 }
 
 // Relation is the indistinguishability relation K and C quantify
@@ -92,7 +109,9 @@ func NewEvaluator(u *universe.Universe) *Evaluator {
 // NewRelationEvaluator builds an evaluator over the universe whose
 // knowledge operators quantify over rel instead.
 func NewRelationEvaluator(u *universe.Universe, rel Relation) *Evaluator {
-	return &Evaluator{u: u, rel: rel, in: newInterner()}
+	e := &Evaluator{u: u, rel: rel}
+	e.memo.Store(&memo{in: newInterner(16)}) // a first page of 16 slots
+	return e
 }
 
 // Universe returns the evaluator's universe.
@@ -174,6 +193,13 @@ func (e *Evaluator) CountWeighted(f Formula) int64 {
 // how many members f holds at, the first member it fails at (-1 when
 // valid), and how many members of the full universe it holds at.
 func (e *Evaluator) WeightedSummary(f Formula) (holding, firstFailure int, weighted int64) {
+	holding, firstFailure, weighted, _ = e.WeightedSummaryAt(f, -1)
+	return holding, firstFailure, weighted
+}
+
+// WeightedSummaryAt is WeightedSummary plus f's value at the i-th member
+// (false when i is negative), all from one memo lookup.
+func (e *Evaluator) WeightedSummaryAt(f Formula, i int) (holding, firstFailure int, weighted int64, atI bool) {
 	v := e.vectorOf(f)
 	holding = v.count()
 	if e.u.IsQuotient() {
@@ -181,7 +207,7 @@ func (e *Evaluator) WeightedSummary(f Formula) (holding, firstFailure int, weigh
 	} else {
 		weighted = int64(holding)
 	}
-	return holding, v.firstClear(e.u.Len()), weighted
+	return holding, v.firstClear(e.u.Len()), weighted, i >= 0 && v.get(i)
 }
 
 // weigh counts the members of the full universe that truth vector v
@@ -216,29 +242,36 @@ func (e *Evaluator) IsConstant(f Formula) bool {
 }
 
 // vectorOf interns f and returns its memoized truth vector. The
-// returned bitset is shared and read-only; the lock covers only the
-// intern-and-evaluate step, so concurrent queries serialize on vector
-// construction but read completed vectors without contention.
+// returned bitset is shared and read-only. Only interning takes the
+// memo's lock; computing a missing vector and reading a resident one do
+// not, so concurrent queries evaluate in parallel.
 func (e *Evaluator) vectorOf(f Formula) bitset {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v := e.vector(e.in.intern(f))
-	e.publishLocked()
-	return v
+	m := e.memo.Load()
+	return e.vector(m, m.intern(f))
 }
 
-// vector computes (or fetches) the truth vector of interned node id.
-// Children are fully evaluated before the parent's vector is stored, so
-// every result — common knowledge included — lands
-// through this one memo path; there is no partially-filled vector to
-// re-fetch after a nested evaluation, by construction.
-func (e *Evaluator) vector(id int32) bitset {
-	if int(id) < len(e.vecs) && e.vecs[id] != nil {
+// vector computes (or fetches) the truth vector of interned node id in
+// memo generation m. Children are fully evaluated before the parent's
+// vector is published, so every result — common knowledge included —
+// lands through this one memo path. A miss holds the node's slot lock
+// while it computes; a concurrent miss on the same node waits on that
+// lock and then reads the published vector. Waits follow child edges
+// only, and a child is always interned before its parent, so locks are
+// taken in decreasing ID order and no wait cycle can form.
+func (e *Evaluator) vector(m *memo, id int32) bitset {
+	s := m.in.slots.at(id)
+	if s.done.Load() {
 		memoHits.Inc()
-		return e.vecs[id]
+		return s.vec
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done.Load() {
+		memoHits.Inc()
+		return s.vec
 	}
 	memoMisses.Inc()
-	nd := e.in.nodes[id]
+	nd := &s.node
 	n := e.u.Len()
 	start := time.Now()
 	var v bitset
@@ -251,46 +284,42 @@ func (e *Evaluator) vector(id int32) bitset {
 	case inAtom:
 		v = e.atomVector(nd.pred)
 	case inNot:
-		v = e.vector(nd.l).clone()
+		v = e.vector(m, nd.l).clone()
 		v.not(n)
 	case inAnd:
-		v = e.vector(nd.l).clone()
-		v.and(e.vector(nd.r))
+		v = e.vector(m, nd.l).clone()
+		v.and(e.vector(m, nd.r))
 	case inOr:
-		v = e.vector(nd.l).clone()
-		v.or(e.vector(nd.r))
+		v = e.vector(m, nd.l).clone()
+		v.or(e.vector(m, nd.r))
 	case inKnows:
-		v = e.knowsVector(nd.set, e.vector(nd.l))
+		v = e.knowsVector(nd.set, e.vector(m, nd.l))
 	case inCommon:
-		v = e.commonVector(e.vector(nd.l))
+		v = e.commonVector(e.vector(m, nd.l))
 	case inEX:
-		v = bitset(temporal.EX(e.u.Transitions(), e.vector(nd.l)))
+		v = bitset(temporal.EX(e.u.Transitions(), e.vector(m, nd.l)))
 	case inEU:
-		l, r := e.vector(nd.l), e.vector(nd.r)
+		l, r := e.vector(m, nd.l), e.vector(m, nd.r)
 		v = bitset(temporal.EU(e.u.Transitions(), l, r))
 	case inAU:
-		l, r := e.vector(nd.l), e.vector(nd.r)
+		l, r := e.vector(m, nd.l), e.vector(m, nd.r)
 		v = bitset(temporal.AU(e.u.Transitions(), l, r))
 	case inEY:
 		e.refusePast()
-		v = bitset(temporal.EY(e.u.Transitions(), e.vector(nd.l)))
+		v = bitset(temporal.EY(e.u.Transitions(), e.vector(m, nd.l)))
 	case inOnce:
 		e.refusePast()
-		v = bitset(temporal.Once(e.u.Transitions(), e.vector(nd.l)))
+		v = bitset(temporal.Once(e.u.Transitions(), e.vector(m, nd.l)))
 	default:
 		panic(fmt.Sprintf("knowledge: unknown interned node kind %d", nd.kind))
 	}
 	evalKind[nd.kind].ObserveDuration(time.Since(start))
-	// Grow geometrically: a session that keeps meeting new formulas
-	// must not copy its whole slot table for every new node.
-	if need := len(e.in.nodes); need > len(e.vecs) {
-		e.vecs = slices.Grow(e.vecs, need-len(e.vecs))[:need]
-	}
-	e.vecs[id] = v
-	e.words += int64(len(v))
-	e.resident++
+	s.vec = v
+	s.done.Store(true)
+	m.words.Add(int64(len(v)))
+	m.resident.Add(1)
 	if nd.pinned() {
-		e.pinnedWords += int64(len(v))
+		m.pinnedWords.Add(int64(len(v)))
 	}
 	return v
 }
@@ -316,63 +345,64 @@ type MemoStats struct {
 
 // MemoStats reports the memo's size and evictions.
 func (e *Evaluator) MemoStats() MemoStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return MemoStats{Bytes: e.memoBytesLocked(), Vectors: e.resident, Evictions: e.evictions}
+	m := e.memo.Load()
+	return MemoStats{Bytes: m.bytes(), Vectors: int(m.resident.Load()), Evictions: e.evictions.Load()}
 }
 
 // MemoBytes reports the bytes the memo holds: every resident truth
-// vector, the slot table that indexes them, and the interner's nodes and
-// keys. It is what the last query or trim left, read without the lock,
-// so a cache may poll it while other queries run.
-func (e *Evaluator) MemoBytes() int64 { return e.bytes.Load() }
+// vector, the slots that hold them, and the interner's keys. It waits
+// only for a formula being interned, so a cache may poll it while other
+// queries run; it is exact whenever none is running.
+func (e *Evaluator) MemoBytes() int64 { return e.memo.Load().bytes() }
 
 // PinnedBytes reports the part of MemoBytes that TrimMemo cannot free:
-// the atom and constant vectors with their slots and interned nodes.
-func (e *Evaluator) PinnedBytes() int64 { return e.pinned.Load() }
-
-// slotBytes is the memo's cost per node slot.
-const slotBytes = int64(unsafe.Sizeof(bitset(nil)))
-
-func (e *Evaluator) memoBytesLocked() int64 {
-	return 8*e.words + slotBytes*int64(cap(e.vecs)) + e.in.bytes()
-}
-
-func (e *Evaluator) publishLocked() {
-	e.bytes.Store(e.memoBytesLocked())
-	e.pinned.Store(8*e.pinnedWords + slotBytes*int64(e.in.pinned) + e.in.pinnedBytes)
+// the atom and constant vectors with their slots and keys.
+func (e *Evaluator) PinnedBytes() int64 {
+	m := e.memo.Load()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return 8*m.pinnedWords.Load() + m.in.pinnedBytes()
 }
 
 // TrimMemo drops every truth vector but the atoms' and constants', the
-// leaves the others are recomputed from, and rebuilds the interner with
-// those leaves alone, so that the memo shrinks to PinnedBytes. It
-// reports how many bytes it freed. It waits for the query in progress,
-// so it never runs inside an evaluation. A later query recomputes what
-// it needs. Dropped vectors are never reused: a caller may still be
-// reading one.
+// leaves the others are recomputed from. It installs a new memo
+// generation whose interner holds those leaves alone, so that the memo
+// shrinks to PinnedBytes, and reports how many bytes it freed. A query
+// in progress finishes in the generation it started in; a later query
+// recomputes what it needs. Dropped vectors are never reused: a caller
+// may still be reading one.
 func (e *Evaluator) TrimMemo() (freed int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	before := e.memoBytesLocked()
-	in := newInterner()
-	in.nodes = make([]inode, 0, e.in.pinned)
-	vecs := make([]bitset, e.in.pinned)
-	resident := 0
-	for id, nd := range e.in.nodes {
-		if nd.pinned() {
-			nid := in.leaf(nd)
-			if id < len(e.vecs) && e.vecs[id] != nil {
-				vecs[nid] = e.vecs[id]
-				resident++
-			}
+	e.trimMu.Lock()
+	defer e.trimMu.Unlock()
+	old := e.memo.Load()
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	in := newInterner(old.in.pinned)
+	var words, resident int64
+	for id := range int32(old.in.slots.n) {
+		s := old.in.slots.at(id)
+		if !s.node.pinned() {
+			continue
+		}
+		ns := in.slots.at(in.leaf(s.node))
+		if s.done.Load() {
+			ns.vec = s.vec
+			ns.done.Store(true)
+			words += int64(len(s.vec))
+			resident++
 		}
 	}
-	dropped := e.resident - resident
-	e.in, e.vecs, e.words, e.resident = in, vecs, e.pinnedWords, resident
-	e.evictions += int64(dropped)
-	memoEvictions.Add(int64(dropped))
-	e.publishLocked()
-	return before - e.memoBytesLocked()
+	m := &memo{in: in}
+	m.words.Store(words)
+	m.pinnedWords.Store(words)
+	m.resident.Store(resident)
+	// Measure before publishing: queries may intern into m at once.
+	freed = 8*(old.words.Load()-words) + old.in.bytes() - in.bytes()
+	e.memo.Store(m)
+	dropped := old.resident.Load() - resident
+	e.evictions.Add(dropped)
+	memoEvictions.Add(dropped)
+	return freed
 }
 
 // atomVector evaluates a predicate at every member and records the time

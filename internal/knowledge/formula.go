@@ -16,8 +16,11 @@ package knowledge
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"hpl/internal/trace"
@@ -350,23 +353,73 @@ type inode struct {
 // vector is recomputed from.
 func (n inode) pinned() bool { return n.kind == inConst || n.kind == inAtom }
 
+// slot holds one interned node and, once evaluated, its truth vector.
+// Slots live in pages that never move, so an evaluation reads a node and
+// its vector without the interner's lock.
+type slot struct {
+	node inode
+	// vec is the node's truth vector, valid once done is set. It is
+	// written once, before done, and never modified.
+	vec  bitset
+	done atomic.Bool
+	// mu is held by the goroutine computing vec: concurrent misses on
+	// the node wait for that one computation instead of repeating it.
+	mu sync.Mutex
+}
+
+// slotBytes is the memo's cost per node slot.
+const slotBytes = int64(unsafe.Sizeof(slot{}))
+
+// slotPages is an append-only slot table. Page 0 holds the first base
+// slots and page k ≥ 1 the next base·2^(k−1), so the table grows
+// geometrically, as a slice does, but never copies: a slot stays where it
+// is while later ones are added, and readers holding its ID need no lock.
+type slotPages struct {
+	base, n, cap int // n slots are in use, cap allocated
+	pages        [32][]slot
+}
+
+// at returns the slot of node id, which must have been added.
+func (p *slotPages) at(id int32) *slot {
+	k := bits.Len(uint(int(id) / p.base))
+	if k == 0 {
+		return &p.pages[0][id]
+	}
+	return &p.pages[k][int(id)-p.base<<(k-1)]
+}
+
+// add stores node n in a fresh slot and returns its ID.
+func (p *slotPages) add(n inode) int32 {
+	if p.n == p.cap {
+		size := max(p.cap, p.base) // the next page doubles the table
+		p.pages[bits.Len(uint(p.n/p.base))] = make([]slot, size)
+		p.cap += size
+	}
+	id := int32(p.n)
+	p.n++
+	p.at(id).node = n
+	return id
+}
+
 // interner hash-conses formulas into dense node IDs. Node keys are
 // short (a kind tag plus child IDs) and are built in a reusable scratch
 // buffer, so re-interning an already-seen formula does O(size) map
 // probes and zero allocations — the evaluator interns on every query,
-// and the hot path must not pay Key()-style string reconstruction.
+// and the hot path must not pay Key()-style string reconstruction. The
+// interner is not safe for concurrent use; the evaluator interns under a
+// lock and reads the slots, which never move, without it.
 type interner struct {
 	ids   map[string]int32
 	psIDs map[string]int32
-	nodes []inode
+	slots slotPages
 	buf   []byte // scratch for node keys; valid between child interns only
 	psBuf []byte // scratch for process-set keys
 	// keyBytes estimates the ids map: every key's bytes plus keyOverhead.
 	keyBytes int64
-	// pinned counts the atom and constant nodes, and pinnedBytes their
-	// share of bytes: their node table entries and keys.
-	pinned      int
-	pinnedBytes int64
+	// pinned counts the atom and constant nodes, and pinnedKeyBytes
+	// their share of keyBytes.
+	pinned         int
+	pinnedKeyBytes int64
 }
 
 // keyOverhead is a map entry's cost beyond its key's bytes: the slot
@@ -374,16 +427,24 @@ type interner struct {
 // allocation's rounding.
 const keyOverhead = 40
 
-// bytes estimates the interner's resident size: its node table and
-// its key map.
+// bytes estimates the interner's resident size: its slot pages, vectors
+// excluded, and its key map.
 func (t *interner) bytes() int64 {
-	return int64(cap(t.nodes))*int64(unsafe.Sizeof(inode{})) + t.keyBytes
+	return int64(t.slots.cap)*slotBytes + t.keyBytes
 }
 
-func newInterner() *interner {
+// pinnedBytes is the part of bytes that atoms and constants take.
+func (t *interner) pinnedBytes() int64 {
+	return int64(t.pinned)*slotBytes + t.pinnedKeyBytes
+}
+
+// newInterner returns an empty interner whose first slot page holds
+// base nodes.
+func newInterner(base int) *interner {
 	return &interner{
 		ids:   make(map[string]int32),
 		psIDs: make(map[string]int32),
+		slots: slotPages{base: max(base, 1)},
 	}
 }
 
@@ -407,13 +468,12 @@ func (t *interner) node(key []byte, n inode) int32 {
 	if id, ok := t.ids[string(key)]; ok {
 		return id
 	}
-	id := int32(len(t.nodes))
+	id := t.slots.add(n)
 	t.ids[string(key)] = id
 	t.keyBytes += int64(len(key)) + keyOverhead
-	t.nodes = append(t.nodes, n)
 	if n.pinned() {
 		t.pinned++
-		t.pinnedBytes += int64(unsafe.Sizeof(inode{})) + int64(len(key)) + keyOverhead
+		t.pinnedKeyBytes += int64(len(key)) + keyOverhead
 	}
 	return id
 }
@@ -470,7 +530,7 @@ func (t *interner) internEY(l int32) int32 {
 // internOnce interns Once over node l; Once over a monotone atom is the
 // atom itself, since the member is one of its own prefixes.
 func (t *interner) internOnce(l int32) int32 {
-	if n := &t.nodes[l]; n.kind == inAtom && n.pred.Monotone() {
+	if n := &t.slots.at(l).node; n.kind == inAtom && n.pred.Monotone() {
 		return l
 	}
 	return t.node(t.key('P', l), inode{kind: inOnce, l: l})

@@ -55,9 +55,9 @@ func memoFormula(r *rand.Rand, atoms []knowledge.Formula, sets []trace.ProcSet, 
 }
 
 // TestMemoGrowthAmortized requires the memo's slot table to grow
-// geometrically: evaluating 2,000 distinct formulas one at a time
-// reallocates it O(log n) times in the number of interned nodes, not
-// once per new formula.
+// geometrically: evaluating 2,000 distinct formulas one at a time adds
+// a page to it O(log n) times in the number of interned nodes, not once
+// per new formula.
 func TestMemoGrowthAmortized(t *testing.T) {
 	procs := []trace.ProcID{"p", "q"}
 	u := universe.MustEnumerateWith(universe.NewFree(universe.FreeConfig{Procs: procs, MaxSends: 1}), universe.WithMaxEvents(4))
@@ -82,7 +82,7 @@ func TestMemoGrowthAmortized(t *testing.T) {
 	}
 	_, nodes := knowledge.MemoSlots(ev)
 	if limit := 4 * bits.Len(uint(nodes)); reallocs > limit {
-		t.Fatalf("%d distinct formulas (%d nodes) reallocated the slot table %d times, want at most %d", len(seen), nodes, reallocs, limit)
+		t.Fatalf("%d distinct formulas (%d nodes) grew the slot table %d times, want at most %d", len(seen), nodes, reallocs, limit)
 	}
 }
 

@@ -645,8 +645,8 @@ func (r *Registry) Settle(e *Entry) {
 	}
 	r.mu.Unlock()
 
-	// Trim without the registry lock: TrimMemo waits for the query in
-	// progress on its session, and lookups must not wait with it.
+	// Trim without the registry lock: TrimMemo waits for any formula
+	// being interned on its session, and lookups must not wait with it.
 	for _, v := range lru {
 		if r.bytes.Load()+r.memo.Load() <= r.maxBytes {
 			break

@@ -184,6 +184,9 @@ type Server struct {
 	logW      io.Writer
 	accessLog bool
 	nextReqID atomic.Uint64
+	// procs is GOMAXPROCS when the server was made; it bounds the
+	// goroutines that check one batch.
+	procs int
 }
 
 // ServerOption configures optional Server behavior.
@@ -226,7 +229,7 @@ func WithLogWriter(w io.Writer) ServerOption {
 // evaluator memo traffic, registry cache outcomes, and this server's
 // own request metrics — is mounted on GET /metrics.
 func NewServer(reg *Registry, opts ...ServerOption) *Server {
-	s := &Server{reg: reg, mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{reg: reg, mux: http.NewServeMux(), started: time.Now(), procs: runtime.GOMAXPROCS(0)}
 	s.version, s.goVersion = buildVersion()
 	for _, o := range opts {
 		o(s)
@@ -426,21 +429,19 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, temporal bo
 		http.NewResponseController(w).Flush()
 		s.reg.Settle(e)
 	}()
-	resp := CheckResponse{
-		Universe: e.Digest,
-		Members:  e.Checker.Universe().Len(),
-		Cached:   cached,
-		Results:  make([]CheckResult, 0, len(req.Formulas)),
-	}
-	for i, input := range req.Formulas {
-		res, err := s.checkOne(e.Checker, input, temporal)
+	results, errs := s.checkBatch(e.Checker, req.Formulas, temporal)
+	for i, err := range errs {
 		if errors.Is(err, hpl.ErrFormulaTooDeep) {
 			writeError(w, &Error{Status: http.StatusBadRequest, Code: CodeBadRequest, Message: fmt.Sprintf("formula %d: %v", i, err)})
 			return
 		}
-		resp.Results = append(resp.Results, res)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, CheckResponse{
+		Universe: e.Digest,
+		Members:  e.Checker.Universe().Len(),
+		Cached:   cached,
+		Results:  results,
+	})
 	if d := time.Since(start); s.slowQuery > 0 && d >= s.slowQuery && s.logW != nil {
 		// The check handler owns the slow-query log (rather than the
 		// middleware) because only it can say which universe and
@@ -456,6 +457,50 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request, temporal bo
 			"millis":    float64(d) / float64(time.Millisecond),
 		})
 	}
+}
+
+// checkBatch checks a batch's formulas on one session in parallel and
+// returns their results and errors in request order. Formulas are
+// claimed by index: the handler's goroutine is one worker, and it starts
+// at most min(GOMAXPROCS, batch)−1 helpers, so a batch of one starts
+// none. Once nothing is left to claim, the handler waits only for the
+// formulas a helper claimed. A helper's panic is re-raised on the
+// handler's goroutine, where net/http recovers it, rather than ending
+// the process.
+func (s *Server) checkBatch(ck *hpl.Checker, inputs []string, temporal bool) ([]CheckResult, []error) {
+	n := len(inputs)
+	results, errs := make([]CheckResult, n), make([]error, n)
+	var next atomic.Int64
+	claim := func() (int, bool) {
+		i := int(next.Add(1) - 1)
+		return i, i < n
+	}
+	helpers := min(s.procs, n) - 1
+	var done chan any // one value per formula a helper checked: nil, or its panic
+	if helpers > 0 {
+		done = make(chan any, n)
+	}
+	for range helpers {
+		go func() {
+			for i, ok := claim(); ok; i, ok = claim() {
+				func() {
+					defer func() { done <- recover() }()
+					results[i], errs[i] = s.checkOne(ck, inputs[i], temporal)
+				}()
+			}
+		}()
+	}
+	mine := 0
+	for i, ok := claim(); ok; i, ok = claim() {
+		results[i], errs[i] = s.checkOne(ck, inputs[i], temporal)
+		mine++
+	}
+	for range n - mine {
+		if p := <-done; p != nil {
+			panic(p)
+		}
+	}
+	return results, errs
 }
 
 // checkOne evaluates one formula of a batch against a hot session. A

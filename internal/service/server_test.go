@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -321,5 +324,62 @@ func TestServerConcurrentQueries(t *testing.T) {
 	}
 	if h.Hits < goroutines*rounds {
 		t.Errorf("hit counter lost updates: %d < %d", h.Hits, goroutines*rounds)
+	}
+}
+
+// TestBatchMatchesSerial posts batches that mix valid formulas,
+// per-formula parse errors and over-deep formulas to both check
+// endpoints, each to a fresh server at GOMAXPROCS 1, where the handler
+// checks the batch alone and in order, and at GOMAXPROCS 8, where it
+// starts helpers. The two answers must be byte for byte the same: the
+// results in request order, and for a batch with over-deep formulas the
+// 400 that names the lowest-indexed one.
+func TestBatchMatchesSerial(t *testing.T) {
+	spec := hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 1, MaxEvents: 4}
+	atoms, sets := vocabulary(spec)
+	r := rand.New(rand.NewSource(32))
+	var mixed []string
+	for i := range 24 {
+		switch i % 6 {
+		case 2:
+			mixed = append(mixed, `K{q} "nosuch(p,m)"`)
+		case 4:
+			mixed = append(mixed, `EF (K{p} "sent(q,m)"`)
+		default:
+			mixed = append(mixed, hpl.PrintFormula(freshFormula(r, atoms, sets, 3)))
+		}
+	}
+	deep := strings.Repeat("!", 4096) + `"sent(p,m)"`
+	withDeep := slices.Insert(slices.Clone(mixed), 9, deep)
+	withDeep = slices.Insert(withDeep, 17, deep)
+
+	answer := func(procs int, path string, formulas []string) (int, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		body, err := json.Marshal(CheckRequest{Universe: spec, Formulas: formulas})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		NewServer(NewRegistry(Config{})).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, path := range []string{"/v1/check", "/v1/check-temporal"} {
+		for _, tc := range []struct {
+			formulas []string
+			status   int
+			has      string
+		}{
+			{mixed, http.StatusOK, `"error":"`},
+			{withDeep, http.StatusBadRequest, "formula 9: "},
+		} {
+			code, serial := answer(1, path, tc.formulas)
+			if code != tc.status || !strings.Contains(serial, tc.has) {
+				t.Fatalf("%s: serial handler answered %d %s, want %d with %q", path, code, serial, tc.status, tc.has)
+			}
+			if code, parallel := answer(8, path, tc.formulas); code != tc.status || parallel != serial {
+				t.Errorf("%s: %d-formula batch: parallel handler answered %d\n%s\nserial handler %d\n%s",
+					path, len(tc.formulas), code, parallel, tc.status, serial)
+			}
+		}
 	}
 }
