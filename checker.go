@@ -10,9 +10,7 @@ import (
 
 // Checker is a model-checking session: a Universe, a memoizing
 // Evaluator over it, and a Vocabulary for the textual formula language,
-// bundled behind one entrypoint. It replaces the by-hand wiring of
-// universe + evaluator + vocabulary that each tool and example used to
-// repeat.
+// bundled behind one entrypoint that the tools and examples share.
 //
 //	ck, err := hpl.CheckProtocol(p, hpl.WithMaxEvents(8), hpl.WithParallelism(4))
 //	...

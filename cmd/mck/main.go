@@ -43,11 +43,14 @@
 // the exit status are those of a full check. Past operators (EY, AY,
 // Once, Hist) read the prefixes of one interleaving and are refused
 // on the quotient — except Once over an atom such as "received(q,m)",
-// which only ever turns true and so equals the atom — as are opaque
-// atoms; formulas with them are checked on the full universe. So is
-// the first failure of a -valid formula that is not valid: it is named
-// by its index in the full universe and printed as its own
-// interleaving. -par defaults to the number of CPUs Go may use.
+// which only ever turns true and so equals the atom — and formulas
+// with them are checked on the full universe. So is the first failure
+// of a -valid formula that is not valid: it is named by its index in
+// the full universe and printed as its own interleaving. When the full
+// universe exceeds mck's cap of 200,000 computations, the quotient's
+// failing member is printed instead, without an index: it is a
+// computation of the system, and the formula fails throughout its
+// [D]-class. -par defaults to the number of CPUs Go may use.
 //
 // -server switches mck into thin-client mode: instead of enumerating
 // locally, the query is forwarded to a running hpld daemon, which keeps
@@ -70,6 +73,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -184,23 +188,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep := ck.Check(f)
 	if *valid {
-		if !rep.Valid() && quotient {
+		if rep.Valid() {
+			fmt.Fprintf(stdout, "VALID over %d computations\n", rep.FullTotal)
+			return 0
+		}
+		at := fmt.Sprintf("computation %d", rep.FirstFailure)
+		witness := ck.Universe().At(rep.FirstFailure)
+		if quotient {
 			// The first failure is named by its index in the full
 			// universe and its own interleaving, which only the full
-			// universe has.
-			if ck, err = check(spec, opts, false); err != nil {
+			// universe has. Past the cap the quotient's failing
+			// representative stands in: it is a computation of the
+			// system, and the formula is constant on its [D]-class.
+			full, err := check(spec, opts, false)
+			switch {
+			case err == nil:
+				rep = full.Check(f)
+				at = fmt.Sprintf("computation %d", rep.FirstFailure)
+				witness = full.Universe().At(rep.FirstFailure)
+			case errors.Is(err, hpl.ErrUniverseTooLarge):
+				at = "this computation (the full universe exceeds the cap, so it has no index)"
+			default:
 				fmt.Fprintf(stderr, "mck: %v\n", err)
 				return 1
 			}
-			rep = ck.Check(f)
 		}
-		if !rep.Valid() {
-			fmt.Fprintf(stdout, "NOT VALID: fails at computation %d:\n%s\n",
-				rep.FirstFailure, indent(ck.Universe().At(rep.FirstFailure).String()))
-			return 1
-		}
-		fmt.Fprintf(stdout, "VALID over %d computations\n", rep.FullTotal)
-		return 0
+		fmt.Fprintf(stdout, "NOT VALID: fails at %s:\n%s\n", at, indent(witness.String()))
+		return 1
 	}
 	fmt.Fprintf(stdout, "%s\nholds at %d / %d computations\n",
 		hpl.PrintFormula(rep.Formula), rep.FullHolding, rep.FullTotal)

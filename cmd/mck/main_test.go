@@ -320,6 +320,33 @@ func TestQuotientRouteMatchesFullUniverse(t *testing.T) {
 	}
 }
 
+// TestValidPastCapRendersQuotientWitness checks -valid past mck's cap
+// of 200,000 computations: at seven events the full universe of p,q,r
+// with two sends has 621,673 members, but its 18,624-member commutation
+// quotient decides the formula, so mck reports NOT VALID with the
+// quotient's failing representative as the witness instead of failing
+// on the cap.
+func TestValidPastCapRendersQuotientWitness(t *testing.T) {
+	const formula = `K{q} "sent(p,m)"`
+	quo, err := hpl.CheckSpec(hpl.UniverseSpec{Procs: []hpl.ProcID{"p", "q", "r"}, MaxSends: 2, MaxEvents: 7}, hpl.WithCommutation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := quo.Universe().Len(); n != 18624 {
+		t.Fatalf("quotient has %d members, want 18,624", n)
+	}
+	rep, err := quo.ParseAndCheck(formula)
+	if err != nil || rep.Valid() {
+		t.Fatalf("quotient check: valid %v, err %v", rep.Valid(), err)
+	}
+	want := "NOT VALID: fails at this computation (the full universe exceeds the cap, so it has no index):\n" +
+		indent(quo.Universe().At(rep.FirstFailure).String()) + "\n"
+	code, out, errOut := runWith(t, "-procs", "p,q,r", "-sends", "2", "-events", "7", "-valid", formula)
+	if code != 1 || out != want || errOut != "" {
+		t.Errorf("exit %d, output\n%s\nstderr: %s\nwant exit 1, output\n%s", code, out, errOut, want)
+	}
+}
+
 // TestQuotientRouteIsTaken checks, through -progress, which universes
 // mck builds: the quotient alone for an admissible formula, the quotient
 // and then the full universe for an admissible -valid formula that is

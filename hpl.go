@@ -223,9 +223,8 @@ type AsymmetryError = knowledge.AsymmetryError
 func WithCommutation() EnumOption { return universe.WithCommutation() }
 
 // ValidateCommuting checks that f can be answered on a commutation
-// quotient: its atoms are history counts, and it uses no past operator
-// except Once over a monotone atom. It reports an *InterleavingError
-// otherwise.
+// quotient: it uses no past operator except Once over a monotone atom.
+// It reports an *InterleavingError otherwise.
 func ValidateCommuting(f Formula) error { return knowledge.ValidateCommuting(f) }
 
 // InterleavingError reports a formula rejected on a commutation quotient
@@ -339,7 +338,8 @@ func Theorem2(x, y, z *Computation, p, all ProcSet) (Fusion, error) {
 type (
 	// Formula is an epistemic formula.
 	Formula = knowledge.Formula
-	// Predicate is a total predicate on computations.
+	// Predicate is a history count: a test on the sum of a per-event
+	// weight over a computation's events.
 	Predicate = knowledge.Predicate
 	// Evaluator evaluates formulas over a universe.
 	Evaluator = knowledge.Evaluator
@@ -348,12 +348,12 @@ type (
 // NewEvaluator builds an evaluator over the universe.
 func NewEvaluator(u *Universe) *Evaluator { return knowledge.NewEvaluator(u) }
 
-// NewPredicate builds an opaque predicate from a name and evaluation
-// function. The evaluator samples it serially at every member, which
-// builds every member's computation; the stock atoms (SentTag and the
-// rest) are one fold over the universe's columns, so prefer them.
-func NewPredicate(name string, fn func(*Computation) bool) Predicate {
-	return knowledge.NewPredicate(name, fn)
+// NewCount builds the history-count predicate test(Σ weight): a weight
+// per event and a test on the weights' sum over the computation's
+// events. The evaluator folds it down the universe's prefix index for
+// every member at once.
+func NewCount(name string, weight func(Event) int32, test func(sum int32) bool) Predicate {
+	return knowledge.NewCount(name, weight, test)
 }
 
 // Formula constructors.

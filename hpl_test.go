@@ -142,7 +142,7 @@ func TestFacadePredicates(t *testing.T) {
 	if !hpl.TokenAt("q", "p", "token").Holds(c) {
 		t.Errorf("TokenAt")
 	}
-	custom := hpl.NewPredicate("long", func(c *hpl.Computation) bool { return c.Len() > 2 })
+	custom := hpl.NewCount("long", func(hpl.Event) int32 { return 1 }, func(n int32) bool { return n > 2 })
 	if !custom.Holds(c) {
 		t.Errorf("custom predicate")
 	}

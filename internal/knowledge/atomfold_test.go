@@ -351,9 +351,9 @@ func TestTokenAtNamesHolderAndTag(t *testing.T) {
 	}
 }
 
-// TestEvalAtomPhase checks that each atom evaluation, history count or
-// opaque, is recorded once as an eval.atom phase in the universe's
-// trace, and that memo hits record nothing.
+// TestEvalAtomPhase checks that each atom evaluation is recorded once
+// as an eval.atom phase in the universe's trace, and that memo hits
+// record nothing.
 func TestEvalAtomPhase(t *testing.T) {
 	tr := obs.NewTrace()
 	u, err := universe.EnumerateWith(universe.NewFree(universe.FreeConfig{
@@ -364,9 +364,9 @@ func TestEvalAtomPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := knowledge.NewAtom(knowledge.SentTag("p", "m"))
-	opaque := knowledge.NewAtom(knowledge.NewPredicate("long", func(c *trace.Computation) bool { return c.Len() > 2 }))
+	long := knowledge.NewAtom(knowledge.NewCount("long", func(trace.Event) int32 { return 1 }, func(n int32) bool { return n > 2 }))
 	ev := knowledge.NewEvaluator(u)
-	ev.Valid(knowledge.Or(sent, opaque))
+	ev.Valid(knowledge.Or(sent, long))
 	ev.Valid(knowledge.Knows(trace.Singleton("q"), sent))
 	var atoms int64
 	for _, ps := range tr.Phases() {

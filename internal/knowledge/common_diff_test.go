@@ -41,10 +41,11 @@ func componentsUniverse(t testing.TB) *universe.Universe {
 // the Evaluator's component labels equals, at every member, the
 // greatest fixpoint of the naive reference (NaiveCommon, run once per
 // formula and read at every member, with F evaluated by EvalNaive). F
-// ranges over atoms, their negations, K of an atom, true, and dense
-// random truth vectors, on the bundled protocol universes, the S3
-// quotient of free p,q,r (whose singleton tables list members under
-// renamed classes too) and a hand-built universe of several components.
+// ranges over atoms, their negations, K of an atom, true, and
+// random-weight counts true at most members, on the bundled protocol
+// universes, the S3 quotient of free p,q,r (whose singleton tables list
+// members under renamed classes too) and a hand-built universe of
+// several components.
 func TestCommonMatchesNaive(t *testing.T) {
 	type testUniverse struct {
 		name  string
@@ -81,18 +82,25 @@ func TestCommonMatchesNaive(t *testing.T) {
 			if all := u.All(); all.Len() > 0 && !u.IsQuotient() {
 				fs = append(fs, knowledge.Knows(trace.Singleton(all.IDs()[0]), c.atoms[0]))
 			}
-			// Random truth vectors, true at nine members in ten. They
-			// are declared symmetric so the quotient admits them: both
-			// evaluators read the same vector, which is all the
+			// Random-weight counts: every event of the universe weighs
+			// a random 0..9, and a count holds unless its sum is a
+			// multiple of ten, at about nine members in ten. They are
+			// declared symmetric so the quotient admits them: both
+			// evaluators read the same weights, which is all the
 			// differential needs.
 			r := rand.New(rand.NewSource(1985))
 			for k := range 6 {
-				in := make([]bool, u.Len())
-				for i := range in {
-					in[i] = r.Intn(10) > 0
+				w := map[trace.Event]int32{}
+				for i := range u.Len() {
+					for _, e := range u.At(i).Events() {
+						if _, ok := w[e]; !ok {
+							w[e] = int32(r.Intn(10))
+						}
+					}
 				}
-				fs = append(fs, knowledge.NewAtom(knowledge.NewPredicate(fmt.Sprintf("random%d", k),
-					func(x *trace.Computation) bool { return in[u.IndexOf(x)] }).Symmetric()))
+				fs = append(fs, knowledge.NewAtom(knowledge.NewCount(fmt.Sprintf("random%d", k),
+					func(e trace.Event) int32 { return w[e] },
+					func(sum int32) bool { return sum%10 != 0 }).Symmetric()))
 			}
 			vec := knowledge.NewEvaluator(u)
 			for _, f := range fs {

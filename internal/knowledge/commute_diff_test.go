@@ -102,19 +102,17 @@ func TestCommutationQuotientMatchesFull(t *testing.T) {
 	}
 }
 
-// TestCommutationQuotientRefusesOpaqueAndPast checks the refusals by
-// construction: an opaque atom, each past operator, and Once over a
-// count that is not monotone are refused, with an *InterleavingError
-// from the validator and a panic carrying one from the evaluator's
-// non-error paths; Once over a monotone atom is admitted.
-func TestCommutationQuotientRefusesOpaqueAndPast(t *testing.T) {
+// TestCommutationQuotientRefusesPast checks the refusals by
+// construction: each past operator, and Once over a count that is not
+// monotone, are refused, with an *InterleavingError from the validator
+// and a panic carrying one from the evaluator's non-error paths; Once
+// over a monotone atom is admitted.
+func TestCommutationQuotientRefusesPast(t *testing.T) {
 	p := universe.NewFree(universe.FreeConfig{Procs: []trace.ProcID{"p", "q"}, MaxSends: 1})
 	quo := universe.MustEnumerateWith(p, universe.WithMaxEvents(4), universe.WithCommutation())
 	sent := knowledge.NewAtom(knowledge.SentTag("p", "m"))
 	quiet := knowledge.NewAtom(knowledge.NoMessagesInFlight())
-	opaque := knowledge.NewAtom(knowledge.NewPredicate("opaque", func(*trace.Computation) bool { return true }))
 	for _, f := range []knowledge.Formula{
-		opaque,
 		knowledge.EY(sent),
 		knowledge.AY(sent),
 		knowledge.Hist(sent),

@@ -13,11 +13,10 @@ import (
 
 // Evaluator evaluates epistemic formulas over a universe set-at-a-time.
 // Every distinct subformula is evaluated once while resident, bottom-up,
-// into a bitset truth vector over all members. An atom that is a history
-// count (every predicate this module ships) is one fold down the
-// universe's prefix index, and an opaque one is sampled member by
-// member. Boolean connectives are word-parallel operations, (P knows
-// F) is one all-reduce per class of the relation's partition for P. Common
+// into a bitset truth vector over all members. An atom, being a
+// history count, is one fold down the universe's prefix index. Boolean
+// connectives are word-parallel operations, (P knows F) is one
+// all-reduce per class of the relation's partition for P. Common
 // knowledge is evaluated by components (the paper's Lemma 3): C F
 // holds at x exactly when F holds throughout x's component in the
 // union of the singleton relations, so it is "every member" when F is
@@ -406,10 +405,8 @@ func (e *Evaluator) TrimMemo() (freed int64) {
 }
 
 // atomVector evaluates a predicate at every member and records the time
-// as an eval.atom phase in the universe's trace. A history count is one
-// fold down the prefix index (universe.HistorySums) and one test per
-// member. An opaque predicate is sampled serially at every member's
-// computation, which builds every member view.
+// as an eval.atom phase in the universe's trace: one fold down the
+// prefix index (universe.HistorySums) and one test per member.
 func (e *Evaluator) atomVector(p Predicate) bitset {
 	// Backstop for the non-error-returning query paths: an asymmetric
 	// predicate sampled at orbit representatives would yield orbit-
@@ -421,23 +418,11 @@ func (e *Evaluator) atomVector(p Predicate) bitset {
 			Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
 		})
 	}
-	if p.count == nil && e.u.Commuting() {
-		panic(&InterleavingError{Part: fmt.Sprintf("predicate %q", p.Name()), Reason: opaqueReason})
-	}
 	defer e.u.Trace().Start("eval.atom").End()
-	n := e.u.Len()
-	v := newBitset(n)
-	if c := p.count; c != nil {
-		for j, sum := range e.u.HistorySums(c.weight) {
-			if c.test(sum) {
-				v.set(j)
-			}
-		}
-		return v
-	}
-	for i := 0; i < n; i++ {
-		if p.Holds(e.u.At(i)) {
-			v.set(i)
+	v := newBitset(e.u.Len())
+	for j, sum := range e.u.HistorySums(p.weight) {
+		if p.test(sum) {
+			v.set(j)
 		}
 	}
 	return v

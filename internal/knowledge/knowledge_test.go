@@ -499,13 +499,6 @@ func TestCheckWellFormed(t *testing.T) {
 	if err := CheckWellFormed(u, good); err != nil {
 		t.Errorf("well-formed predicate rejected: %v", err)
 	}
-	// A predicate depending on interleaving order is ill-formed.
-	bad := NewPredicate("first-event-on-p", func(c *trace.Computation) bool {
-		return c.Len() > 0 && c.At(0).Proc == "p"
-	})
-	if err := CheckWellFormed(u, bad); err == nil {
-		t.Errorf("interleaving-sensitive predicate accepted")
-	}
 }
 
 func TestStandardPredicates(t *testing.T) {

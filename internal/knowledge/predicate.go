@@ -13,17 +13,15 @@ import (
 // only on per-process projections, never on the interleaving of
 // independent events. CheckWellFormed verifies this over a universe.
 //
-// A predicate is either a history count (NewCount): a weight per event
-// and a test on the weights' sum over the computation's events, or an
-// opaque function of the computation (NewPredicate). In the paper a
-// computation is its prefix plus one event, so a count at (x;e) is the
-// count at x plus the weight of e, and the evaluator computes a count's
-// truth vector in one fold down the universe's prefix index (see
-// universe.HistorySums), reading only the universe's columns. Every
-// predicate this module ships is a history count; Holds derives its
-// value at a single computation from the same weight and test. An
-// opaque predicate is sampled serially at every member, which builds
-// every member's computation (universe.Universe.At).
+// A predicate is a history count (NewCount): a weight per event and a
+// test on the weights' sum over the computation's events. A sum cannot
+// see the order of its terms, so every predicate meets the requirement
+// by construction. In the paper a computation is its prefix plus one
+// event, so a count at (x;e) is the count at x plus the weight of e, and
+// the evaluator computes a count's truth vector in one fold down the
+// universe's prefix index (see universe.HistorySums), reading only the
+// universe's columns. Holds derives the value at a single computation
+// from the same weight and test.
 //
 // Names must uniquely identify semantics: the evaluator memoizes atoms
 // by name, so a name must spell out every parameter the value depends
@@ -39,48 +37,29 @@ import (
 // renaming fixing them); predicates declaring neither are rejected on
 // quotients with an AsymmetryError. The stock library is pre-annotated.
 type Predicate struct {
-	name string
-	fn   func(*trace.Computation) bool
-	// count is the predicate as a history count; nil for opaque
-	// predicates, which the evaluator samples member by member.
-	count *historyCount
+	name   string
+	weight func(trace.Event) int32
+	test   func(sum int32) bool
+	// monotone records that the count can only turn true along a
+	// computation's prefixes (see Predicate.Monotone).
+	monotone bool
 	// symKind records the declared renaming behaviour; support lists the
 	// processes a symFixed predicate depends on.
 	symKind uint8
 	support []trace.ProcID
 }
 
-// historyCount is a predicate on the sum of a per-event weight over a
-// computation's history.
-type historyCount struct {
-	weight func(trace.Event) int32
-	test   func(sum int32) bool
-	// monotone records that the count can only turn true along a
-	// computation's prefixes (see Predicate.Monotone).
-	monotone bool
-}
-
-// holds tests the weights' sum over c's events.
-func (h *historyCount) holds(c *trace.Computation) bool {
-	var sum int32
-	for e := range c.Backward() {
-		sum += h.weight(e)
-	}
-	return h.test(sum)
-}
-
 // NewCount builds the history-count predicate test(Σ weight), which
 // the evaluator folds down the prefix index for every member at once.
 func NewCount(name string, weight func(trace.Event) int32, test func(sum int32) bool) Predicate {
-	h := &historyCount{weight: weight, test: test}
-	return Predicate{name: name, fn: h.holds, count: h}
+	return Predicate{name: name, weight: weight, test: test}
 }
 
 // ever is the history count "some event matches". Its weights are never
 // negative and its test is sum > 0, so it is monotone.
 func ever(name string, match func(trace.Event) bool) Predicate {
 	p := NewCount(name, func(e trace.Event) int32 { return indicator(match(e)) }, positive)
-	p.count.monotone = true
+	p.monotone = true
 	return p
 }
 
@@ -99,25 +78,25 @@ const (
 	symFixed                // invariant under renamings fixing support
 )
 
-// NewPredicate builds an opaque predicate from a name and an evaluation
-// function, which the evaluator calls serially at every member's
-// computation; prefer NewCount.
-func NewPredicate(name string, fn func(*trace.Computation) bool) Predicate {
-	return Predicate{name: name, fn: fn}
-}
-
 // Monotone reports whether the predicate, once true at a computation,
 // is true at every extension of it — so it holds exactly where it held
 // at some prefix, and Once b is b. Every "some event matches" atom of
 // the stock library (sent, received, internal, their any-process
 // closures and the fault atoms) is.
-func (p Predicate) Monotone() bool { return p.count != nil && p.count.monotone }
+func (p Predicate) Monotone() bool { return p.monotone }
 
 // Name returns the predicate's unique name.
 func (p Predicate) Name() string { return p.name }
 
-// Holds evaluates the predicate at the computation.
-func (p Predicate) Holds(c *trace.Computation) bool { return p.fn(c) }
+// Holds evaluates the predicate at the computation: it tests the
+// weights' sum over c's events.
+func (p Predicate) Holds(c *trace.Computation) bool {
+	var sum int32
+	for e := range c.Backward() {
+		sum += p.weight(e)
+	}
+	return p.test(sum)
+}
 
 // Symmetric declares the predicate invariant under every process
 // renaming — σ·x satisfies it exactly when x does, for any renaming σ —
@@ -157,7 +136,9 @@ func (p Predicate) SymmetricUnder(s *universe.Symmetry) bool {
 }
 
 // CheckWellFormed verifies the model requirement that the predicate is
-// invariant under [D]-isomorphism across the universe's members.
+// invariant under [D]-isomorphism across the universe's members. A
+// history count meets it by construction, so the check exercises the
+// universe's [D]-classes (Universe.ClassRef) as much as the predicate.
 func CheckWellFormed(u *universe.Universe, b Predicate) error {
 	for i := 0; i < u.Len(); i++ {
 		x := u.At(i)

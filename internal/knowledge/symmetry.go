@@ -31,7 +31,7 @@ func (e *AsymmetryError) Error() string {
 // member stands for all of them. Such formulas must be checked on the
 // full universe.
 type InterleavingError struct {
-	// Part renders the offending atom or subformula.
+	// Part renders the offending subformula.
 	Part string
 	// Reason explains why the part may read the interleaving.
 	Reason string
@@ -41,10 +41,7 @@ func (e *InterleavingError) Error() string {
 	return fmt.Sprintf("knowledge: %s may read the interleaving of concurrent events: %s", e.Part, e.Reason)
 }
 
-const (
-	opaqueReason = "an opaque predicate carries no [D]-invariance guarantee; build it with NewCount or evaluate on the full universe"
-	pastReason   = "past operators read the prefixes of one linearization; evaluate on the full universe"
-)
+const pastReason = "past operators read the prefixes of one linearization; evaluate on the full universe"
 
 // ValidateSymmetric checks that f is invariant under s, the
 // precondition for evaluating f over an s-quotient:
@@ -67,8 +64,8 @@ func ValidateSymmetric(f Formula, s *universe.Symmetry) error {
 // precondition for evaluating f over a commutation quotient. The paper
 // requires it of every predicate, and the operators preserve it:
 //
-//   - every atom must be a history count (NewCount): a sum over the
-//     computation's events cannot see their order;
+//   - every atom is admitted: it is a history count (NewCount), and a
+//     sum over the computation's events cannot see their order;
 //   - K, Sure and C quantify over classes that are unions of [D]-classes,
 //     since [D] ⊆ [P] for every P;
 //   - EX, EU and AU and their duals read the one-event extensions, and
@@ -101,9 +98,6 @@ func validateQuotient(f Formula, s *universe.Symmetry, commuting bool) error {
 				Group:  s.Key(),
 				Reason: "declare it Symmetric(), give it a FixedOn() support the group fixes, or evaluate on the full universe",
 			}
-		}
-		if commuting && f.Pred.count == nil {
-			return &InterleavingError{Part: fmt.Sprintf("predicate %q", f.Pred.Name()), Reason: opaqueReason}
 		}
 		return nil
 	case NotF:

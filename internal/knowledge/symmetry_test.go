@@ -183,7 +183,7 @@ func TestQuotientRejectsAsymmetric(t *testing.T) {
 	if err := ev.ValidateSymmetric(sureQR); !errors.As(err, &asym) {
 		t.Fatalf("sure over a partial class must be rejected, got %v", err)
 	}
-	undeclared := knowledge.NewAtom(knowledge.NewPredicate("mystery", func(*trace.Computation) bool { return true }))
+	undeclared := knowledge.NewAtom(knowledge.NewCount("mystery", func(trace.Event) int32 { return 0 }, func(int32) bool { return true }))
 	if err := ev.ValidateSymmetric(knowledge.EF(undeclared)); !errors.As(err, &asym) {
 		t.Fatalf("undeclared predicate must be rejected, got %v", err)
 	}

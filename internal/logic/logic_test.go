@@ -13,7 +13,7 @@ func vocab() Vocabulary {
 	return NewVocabulary(
 		knowledge.SentTag("p", "m"),
 		knowledge.ReceivedTag("q", "m"),
-		knowledge.NewPredicate("b", func(c *trace.Computation) bool { return c.Len() > 0 }),
+		knowledge.NewCount("b", func(trace.Event) int32 { return 1 }, func(n int32) bool { return n > 0 }),
 	)
 }
 

@@ -79,8 +79,8 @@ func fuzzVocab() (Vocabulary, []string) {
 	preds := []knowledge.Predicate{
 		knowledge.SentTag("p", "m"),
 		knowledge.ReceivedTag("q", "m"),
-		knowledge.NewPredicate("plain_name", func(c *trace.Computation) bool { return c.Len() > 0 }),
-		knowledge.NewPredicate("with@at", func(c *trace.Computation) bool { return c.Len() > 1 }),
+		knowledge.NewCount("plain_name", func(trace.Event) int32 { return 1 }, func(n int32) bool { return n > 0 }),
+		knowledge.NewCount("with@at", func(trace.Event) int32 { return 1 }, func(n int32) bool { return n > 1 }),
 	}
 	v := NewVocabulary(preds...)
 	names := make([]string, 0, len(v))

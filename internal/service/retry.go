@@ -18,11 +18,6 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries, first one included.
 	// Zero or negative means a single attempt (no retries).
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff: attempt i sleeps
-	// BaseDelay << i, plus up to 50% jitter. Zero means 100ms.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep. Zero means 2s.
-	MaxDelay time.Duration
 
 	// sleep replaces the real clock in tests. nil sleeps for real,
 	// respecting ctx.
@@ -31,9 +26,16 @@ type RetryPolicy struct {
 	jitter func() float64
 }
 
-// DefaultRetryPolicy is what a Client with a nil Retry uses in
-// RetryOrNot: no retries at all, preserving the historical single-shot
-// behaviour. Callers opt in with e.g. &RetryPolicy{MaxAttempts: 3}.
+// The backoff before retry i (0-based) is baseDelay << i, capped at
+// maxDelay, plus up to 50% jitter.
+const (
+	baseDelay = 100 * time.Millisecond
+	maxDelay  = 2 * time.Second
+)
+
+// attempts is the total number of tries. A nil policy, which a Client
+// with no Retry has, makes a single attempt; callers opt in to retries
+// with e.g. &RetryPolicy{MaxAttempts: 3}.
 func (p *RetryPolicy) attempts() int {
 	if p == nil || p.MaxAttempts < 1 {
 		return 1
@@ -42,17 +44,9 @@ func (p *RetryPolicy) attempts() int {
 }
 
 func (p *RetryPolicy) delay(attempt int) time.Duration {
-	base := 100 * time.Millisecond
-	maxd := 2 * time.Second
-	if p.BaseDelay > 0 {
-		base = p.BaseDelay
-	}
-	if p.MaxDelay > 0 {
-		maxd = p.MaxDelay
-	}
-	d := base << attempt
-	if d > maxd || d < 0 {
-		d = maxd
+	d := baseDelay << attempt
+	if d > maxDelay || d < 0 {
+		d = maxDelay
 	}
 	j := rand.Float64()
 	if p.jitter != nil {

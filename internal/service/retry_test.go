@@ -31,8 +31,6 @@ func (f *fakeSleep) sleep(ctx context.Context, d time.Duration) error {
 func testPolicy(f *fakeSleep) *RetryPolicy {
 	return &RetryPolicy{
 		MaxAttempts: 4,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    time.Second,
 		sleep:       f.sleep,
 		jitter:      func() float64 { return 0 },
 	}
@@ -74,8 +72,8 @@ func TestClientRetries503ThenSucceeds(t *testing.T) {
 	if got := hits.Load(); got != 3 {
 		t.Errorf("server hit %d times, want 3", got)
 	}
-	// Exponential backoff with zero jitter: 100ms then 200ms.
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
+	// Exponential backoff with zero jitter: baseDelay, then twice that.
+	want := []time.Duration{baseDelay, 2 * baseDelay}
 	if len(f.delays) != len(want) || f.delays[0] != want[0] || f.delays[1] != want[1] {
 		t.Errorf("backoff delays %v, want %v", f.delays, want)
 	}
@@ -148,13 +146,16 @@ func TestClientNilPolicySingleShot(t *testing.T) {
 }
 
 func TestRetryDelayCapAndJitter(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 300 * time.Millisecond,
-		jitter: func() float64 { return 1 }}
-	// attempt 0: 100ms +50% = 150ms; attempt 3: 800ms capped to 300ms +50% = 450ms.
-	if got := p.delay(0); got != 150*time.Millisecond {
-		t.Errorf("delay(0) = %v, want 150ms", got)
+	p := &RetryPolicy{jitter: func() float64 { return 1 }}
+	// Full jitter adds 50%. Attempt 0 sleeps baseDelay; attempt 5 would
+	// sleep 32·baseDelay, which exceeds maxDelay, so it is capped first.
+	if got, want := p.delay(0), baseDelay*3/2; got != want {
+		t.Errorf("delay(0) = %v, want %v", got, want)
 	}
-	if got := p.delay(3); got != 450*time.Millisecond {
-		t.Errorf("delay(3) = %v, want 450ms (capped before jitter)", got)
+	if baseDelay<<5 <= maxDelay {
+		t.Fatalf("attempt 5 (%v) must exceed the cap %v", baseDelay<<5, maxDelay)
+	}
+	if got, want := p.delay(5), maxDelay*3/2; got != want {
+		t.Errorf("delay(5) = %v, want %v (capped before jitter)", got, want)
 	}
 }
